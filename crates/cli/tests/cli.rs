@@ -794,3 +794,170 @@ fn deadline_zero_stops_before_any_unit() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("no replications completed"), "{stdout}");
 }
+
+/// `limba analyze <path> [extra]` on the materialized path and with
+/// `--from-stream`.
+fn analyze_both_paths(path: &std::path::Path, extra: &[&str]) -> [Output; 2] {
+    let path = path.to_str().unwrap();
+    let mut materialized = vec!["analyze", path];
+    materialized.extend(extra);
+    let mut streamed = materialized.clone();
+    streamed.push("--from-stream");
+    [limba(&materialized), limba(&streamed)]
+}
+
+#[test]
+fn activity_outliving_its_region_analyzes_with_windows() {
+    // enter r → begin → leave r → end is valid, and used to panic the
+    // strict walk behind both windowed paths.
+    use limba_model::ActivityKind;
+    use limba_trace::{Event, TraceBuilder};
+    let mut b = TraceBuilder::new(2);
+    let r = b.add_region("r");
+    let s = b.add_region("s");
+    for p in 0..2u32 {
+        let skew = p as f64;
+        b.push(Event::enter(0.0, p, r));
+        b.push(Event::begin_activity(1.0, p, ActivityKind::PointToPoint));
+        b.push(Event::leave(2.0, p, r));
+        b.push(Event::end_activity(
+            3.0 + skew,
+            p,
+            ActivityKind::PointToPoint,
+        ));
+        b.push(Event::enter(4.0 + skew, p, s));
+        b.push(Event::leave(6.0, p, s));
+    }
+    let trace = temp_path("outliving.limba");
+    std::fs::write(&trace, limba_trace::binary::to_bytes(&b.build())).unwrap();
+    let [materialized, streamed] = analyze_both_paths(&trace, &["--windows", "2"]);
+    for out in [&materialized, &streamed] {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    assert!(
+        String::from_utf8_lossy(&materialized.stdout).contains("imbalance evolution (2 windows)")
+    );
+    assert_eq!(materialized.stdout, streamed.stdout);
+    std::fs::remove_file(&trace).ok();
+}
+
+/// The committed legacy tracefiles, written before version 3 became
+/// the only container written.
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
+}
+
+#[test]
+fn legacy_containers_analyze_to_their_golden_reports() {
+    for version in ["v1", "v2"] {
+        let trace = golden_dir().join(format!("legacy_{version}.limba"));
+        let report = golden_dir().join(format!("legacy_{version}_report.txt"));
+        let expected = std::fs::read_to_string(report).unwrap();
+        for out in analyze_both_paths(&trace, &[]) {
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(
+                String::from_utf8(out.stdout).unwrap(),
+                expected,
+                "{version}"
+            );
+        }
+    }
+}
+
+#[test]
+fn out_of_order_ranks_fail_alike_in_binary_and_sort_in_text() {
+    use limba_trace::{Event, TraceBuilder};
+    // Rank 1 records its second visit before its first: the clock goes
+    // backwards at its third event, before any structural error.
+    let build = |ordered: bool| {
+        let mut b = TraceBuilder::new(2);
+        let r = b.add_region("r");
+        let s = b.add_region("s");
+        let visits = |p: u32, t: f64| {
+            [
+                [Event::enter(t, p, r), Event::leave(t + 2.0, p, r)],
+                [Event::enter(t + 3.0, p, s), Event::leave(t + 4.0, p, s)],
+            ]
+        };
+        for pair in visits(0, 0.0) {
+            for e in pair {
+                b.push(e);
+            }
+        }
+        let [first, second] = visits(1, 0.5);
+        let rank1 = if ordered {
+            [first, second]
+        } else {
+            [second, first]
+        };
+        for pair in rank1 {
+            for e in pair {
+                b.push(e);
+            }
+        }
+        b.build()
+    };
+    let binary = temp_path("out-of-order.limba");
+    std::fs::write(&binary, limba_trace::binary::to_bytes(&build(false))).unwrap();
+    for out in analyze_both_paths(&binary, &[]) {
+        assert!(!out.status.success());
+        assert!(out.stdout.is_empty(), "partial report on stdout");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("clock of processor 1 went backwards from 4.5 to 0.5"),
+            "{stderr}"
+        );
+    }
+
+    // The text reader sorts each rank on load: the report is that of
+    // the ordered trace.
+    let text = temp_path("out-of-order.txt");
+    std::fs::write(&text, limba_trace::text::to_string(&build(false))).unwrap();
+    let sorted = temp_path("ordered.limba");
+    std::fs::write(&sorted, limba_trace::binary::to_bytes(&build(true))).unwrap();
+    let from_text = limba(&["analyze", text.to_str().unwrap()]);
+    let from_sorted = limba(&["analyze", sorted.to_str().unwrap()]);
+    assert!(
+        from_text.status.success(),
+        "{}",
+        String::from_utf8_lossy(&from_text.stderr)
+    );
+    assert_eq!(from_text.stdout, from_sorted.stdout);
+    for path in [binary, text, sorted] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn legacy_v2_with_a_nan_timestamp_is_rejected_on_both_paths() {
+    let mut v2 = std::fs::read(golden_dir().join("legacy_v2.limba")).unwrap();
+    // The first event record follows the 18-byte prelude, the region
+    // table ("main", "solve", "halo exchange") and the u64 event count.
+    let first_event = 18 + (4 + 4) + (4 + 5) + (4 + 13) + 8;
+    v2[first_event..first_event + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+    // Reseal the FNV-1a checksum so only the timestamp is wrong.
+    let body = v2.len() - 8;
+    let checksum = v2[..body].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    v2[body..].copy_from_slice(&checksum.to_le_bytes());
+    let trace = temp_path("nan.limba");
+    std::fs::write(&trace, &v2).unwrap();
+    for out in analyze_both_paths(&trace, &[]) {
+        assert!(!out.status.success());
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("non-finite event timestamp NaN"),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_file(&trace).ok();
+}

@@ -163,21 +163,16 @@ pub struct SimOutput {
 
 impl SimOutput {
     /// Reduces the trace to measurement matrices (see
-    /// [`limba_trace::reduce`]).
-    ///
-    /// Simulator-produced traces are well-formed by construction, so
-    /// this takes the fast path that skips structural re-validation
-    /// ([`limba_trace::reduce_well_formed`]). For traces loaded from
-    /// external files, use the checked [`limba_trace::reduce`] — or
-    /// [`SimOutput::reduce_checked`] when the output was deserialized
-    /// rather than produced by [`Simulator::run`].
+    /// [`limba_trace::reduce`], whose structural checks run inline).
+    /// Use [`SimOutput::reduce_checked`] when the run was fault-injected
+    /// and some ranks may have crashed mid-region.
     ///
     /// # Errors
     ///
-    /// Propagates reduction errors; a trace produced by the simulator
-    /// always reduces, so failures indicate a bug.
+    /// Propagates reduction errors; a trace produced by an unfaulted
+    /// run always reduces, so failures indicate a bug.
     pub fn reduce(&self) -> Result<ReducedTrace, SimError> {
-        Ok(limba_trace::reduce_well_formed(&self.trace)?)
+        Ok(limba_trace::reduce(&self.trace)?)
     }
 
     /// Like [`SimOutput::reduce`], but re-validates the trace first and

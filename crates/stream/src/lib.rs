@@ -1,42 +1,31 @@
-//! Composable producer/consumer pipeline stages over zero-copy byte
-//! frames.
+//! The streamed simulate → reduce pipeline over zero-copy byte frames.
 //!
-//! The materialized pipeline builds each stage's full output before the
-//! next starts: simulate → [`Trace`] → tracefile → reduce. This crate
-//! re-plumbs that as concurrent stages connected by *bounded* channels
-//! of [`Bytes`] frames, so a 64k-rank run flows through windowed
-//! reduction while holding only O(channel depth × frame) bytes of trace
-//! in flight:
+//! The simulator records into a [`FrameSink`], which encodes events
+//! into chunked version-3 frames ([`StreamEncoder`]) as rounds retire
+//! and sends them through a *bounded* channel ([`bounded`]); the other
+//! end decodes the frames ([`drain_frames`], [`StreamDecoder`]) into
+//! the same [`TraceSink`] folds the batch reductions drive — salvage
+//! reduction, windowed reduction — so a 64k-rank run flows through
+//! windowed reduction while holding only O(channel depth × frame) bytes
+//! of trace in flight:
 //!
-//! * [`Stage`] — the contract: a stage consumes items from a
-//!   [`StageRx`], produces items into a [`StageTx`], and composes with
-//!   [`Stage::then`] into a [`Chain`] whose halves run concurrently.
-//!   Channels are bounded ([`bounded`]), so a slow consumer
-//!   *backpressures* the producer — the simulator blocks instead of
-//!   buffering the trace — and a dropped consumer *cancels* it: sends
-//!   fail, the failure latches into the producer's sink, and the
-//!   simulation aborts at the next round boundary.
-//! * [`FrameSink`] — the simulator-side producer: a
-//!   [`TraceSink`] that encodes events into binary-format frames
-//!   ([`StreamEncoder`], format version 3) as rounds retire and sends
-//!   them downstream.
-//! * [`drain_frames`] / [`FoldStage`] — the consumer side: decode
-//!   frames ([`StreamDecoder`]) into any [`TraceSink`] fold — salvage
-//!   reduction, windowed reduction — without ever holding the trace.
-//! * [`stream_reduce`] — the turnkey two-pass driver the CLI and
-//!   examples use: a first O(1)-memory pass scans the run's makespan
-//!   and activity set (the two facts the reducing folds need up
-//!   front), then the pipelined second pass folds frames into the
-//!   salvaged and optional windowed reductions. The simulator is
-//!   deterministic, so both passes see the identical event stream.
+//! * a slow consumer *backpressures* the producer — the simulator
+//!   blocks on a full channel instead of buffering the trace;
+//! * a failed consumer *cancels* it — dropping the receiver makes the
+//!   producer's next send fail, the failure latches into the
+//!   [`FrameSink`], and the simulation aborts at the next round
+//!   boundary.
 //!
-//! Results are **bit-identical** to the materialized path — the folds
-//! drive the same per-rank attribution state machines over the same
-//! per-rank event orders — which `tests/stream_equivalence.rs` locks
-//! across workloads × fault plans × balance plans × frame sizes × job
-//! counts.
+//! [`stream_reduce`] is the turnkey two-pass entry point the CLI and
+//! examples use: a first O(1)-memory pass scans the run's makespan and
+//! activity set (the two facts the reducing folds need up front), then
+//! the pipelined second pass folds frames into the salvaged and
+//! optional windowed reductions. The simulator is deterministic, so
+//! both passes see the identical event stream, and the results equal
+//! the batch reductions of the materialized trace, which
+//! `tests/stream_equivalence.rs` locks across workloads × fault plans ×
+//! balance plans × frame sizes × job counts.
 //!
-//! [`Trace`]: limba_trace::Trace
 //! [`StreamEncoder`]: limba_trace::StreamEncoder
 
 #![forbid(unsafe_code)]
@@ -57,15 +46,15 @@ use limba_trace::{
 /// Error of a streaming pipeline run.
 #[derive(Debug)]
 pub enum StreamError {
-    /// The peer end of a stage's channel hung up. On its own this is a
-    /// symptom, not a cause: [`Chain`] reports the peer's error
+    /// The peer end of a channel hung up. On its own this is a
+    /// symptom, not a cause: the pipeline reports the peer's error
     /// instead whenever one exists.
     Disconnected,
     /// The simulation failed.
     Sim(SimError),
     /// Encoding, decoding, or folding the trace stream failed.
     Trace(TraceError),
-    /// A stage failed for a reason of its own (e.g. a panic).
+    /// A pipeline thread failed for a reason of its own (e.g. a panic).
     Stage(String),
 }
 
@@ -154,109 +143,6 @@ impl<T> Iterator for StageRx<T> {
 pub fn bounded<T>(depth: usize) -> (StageTx<T>, StageRx<T>) {
     let (tx, rx) = sync_channel(depth);
     (StageTx(tx), StageRx(rx))
-}
-
-/// One stage of a streaming pipeline: consumes `In` items, produces
-/// `Out` items, runs to completion on its own thread when chained.
-///
-/// The contract:
-///
-/// * a stage returns `Ok(())` after consuming its input to exhaustion
-///   (or, for sources, producing all its output) and dropping/letting
-///   go of its `tx` — which is what signals end-of-stream downstream;
-/// * a stage that fails returns its error *without* draining its
-///   input; the abandoned channel ends the upstream stage's next send
-///   with [`StreamError::Disconnected`], propagating cancellation
-///   backwards;
-/// * a stage whose send fails with `Disconnected` stops immediately
-///   and returns that error — [`Chain`] reports the downstream cause
-///   in its place.
-pub trait Stage: Send + Sized {
-    /// Items consumed.
-    type In: Send;
-    /// Items produced.
-    type Out: Send;
-
-    /// Runs the stage to completion.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the stage's work surfaces, per the contract above.
-    fn run(self, rx: StageRx<Self::In>, tx: StageTx<Self::Out>) -> Result<(), StreamError>;
-
-    /// Composes this stage with `next` over a bounded channel of
-    /// `depth` items: `self` runs on a spawned thread, `next` on the
-    /// calling thread, concurrently.
-    fn then<S>(self, depth: usize, next: S) -> Chain<Self, S>
-    where
-        S: Stage<In = Self::Out>,
-    {
-        Chain {
-            first: self,
-            depth,
-            second: next,
-        }
-    }
-}
-
-/// Two stages composed over a bounded channel — itself a [`Stage`],
-/// so chains compose into longer chains.
-pub struct Chain<A, B> {
-    first: A,
-    depth: usize,
-    second: B,
-}
-
-impl<A, B> Stage for Chain<A, B>
-where
-    A: Stage,
-    B: Stage<In = A::Out>,
-{
-    type In = A::In;
-    type Out = B::Out;
-
-    fn run(self, rx: StageRx<Self::In>, tx: StageTx<Self::Out>) -> Result<(), StreamError> {
-        let Chain {
-            first,
-            depth,
-            second,
-        } = self;
-        let (mid_tx, mid_rx) = bounded(depth);
-        std::thread::scope(|s| {
-            let producer = s.spawn(move || first.run(rx, mid_tx));
-            let second_result = second.run(mid_rx, tx);
-            let first_result = producer
-                .join()
-                .unwrap_or_else(|_| Err(StreamError::Stage("pipeline stage panicked".into())));
-            // A `Disconnected` is the echo of the *other* stage's
-            // failure — report the cause, not the symptom.
-            match (first_result, second_result) {
-                (Ok(()), Ok(())) => Ok(()),
-                (Err(StreamError::Disconnected), Err(e)) => Err(e),
-                (Err(e), _) => Err(e),
-                (Ok(()), Err(e)) => Err(e),
-            }
-        })
-    }
-}
-
-/// Drives a whole pipeline: a closed (immediately end-of-stream) input
-/// and a drained output. The `stage` is typically a [`Chain`] whose
-/// source ignores its input and whose sink produces nothing.
-///
-/// # Errors
-///
-/// Whatever the pipeline's stages surface.
-pub fn run_pipeline<S: Stage>(stage: S) -> Result<(), StreamError> {
-    let (src_tx, src_rx) = bounded::<S::In>(0);
-    drop(src_tx);
-    let (out_tx, out_rx) = bounded::<S::Out>(0);
-    std::thread::scope(|s| {
-        let drain = s.spawn(move || while out_rx.recv().is_some() {});
-        let result = stage.run(src_rx, out_tx);
-        let _ = drain.join();
-        result
-    })
 }
 
 /// The simulator-side frame producer: a [`TraceSink`] that encodes
@@ -379,101 +265,40 @@ pub struct StreamedReduction {
     pub scan: StreamScan,
 }
 
-/// The source stage: runs the simulation, producing binary frames.
-/// `'t` is the tee's trait-object lifetime, kept separate from the
-/// borrows of the run's inputs and outputs (trait-object lifetimes are
-/// invariant, so sharing one lifetime would force the caller's tee to
-/// live exactly as long as this call's locals).
-struct SimulateStage<'a, 't> {
-    sim: &'a Simulator,
-    program: &'a Program,
-    faults: Option<&'a FaultPlan>,
-    balance: Option<&'a BalancePlan>,
-    budget: Option<&'a RunBudget>,
-    frame_events: usize,
-    jobs: usize,
-    out: &'a mut Option<StreamOutput>,
-    /// Extra sink the producer tees the identical event stream into
-    /// (e.g. a [`WriteSink`](limba_trace::WriteSink) persisting the
-    /// tracefile alongside the pipelined reduction).
-    tee: Option<&'a mut (dyn TraceSink + Send + 't)>,
-}
-
-impl Stage for SimulateStage<'_, '_> {
-    type In = ();
-    type Out = Bytes;
-
-    fn run(self, _rx: StageRx<()>, tx: StageTx<Bytes>) -> Result<(), StreamError> {
-        let mut sink = FrameSink::new(tx);
-        let result = match self.tee {
-            Some(tee) => {
-                let mut teed = TeeSink::new(tee, &mut sink);
-                self.sim.run_streaming_parallel_configured(
-                    self.program,
-                    self.faults,
-                    self.balance,
-                    self.budget,
-                    self.jobs,
-                    &mut teed,
-                    self.frame_events,
-                )
-            }
-            None => self.sim.run_streaming_parallel_configured(
-                self.program,
-                self.faults,
-                self.balance,
-                self.budget,
-                self.jobs,
-                &mut sink,
-                self.frame_events,
-            ),
-        };
-        match result {
-            Ok(output) => {
-                *self.out = Some(output);
-                Ok(())
-            }
-            // The sink's send failed: the real error is downstream.
-            Err(_) if sink.disconnected() => Err(StreamError::Disconnected),
-            Err(e) => Err(StreamError::Sim(e)),
+/// The pipelined pass: runs `produce` on a spawned thread, recording
+/// into a [`FrameSink`] that sends frames through one bounded channel of
+/// `depth` frames, and drains them into `fold` on the calling thread.
+///
+/// `fold` owns the receiver, so a failing fold hangs up as it returns:
+/// the producer's next send fails and the simulation aborts. The fold's
+/// error is then reported, not the producer's disconnection echo.
+fn pipeline(
+    depth: usize,
+    produce: impl FnOnce(&mut FrameSink) -> Result<StreamOutput, SimError> + Send,
+    fold: impl FnOnce(StageRx<Bytes>) -> Result<(), TraceError>,
+) -> Result<StreamOutput, StreamError> {
+    let (tx, rx) = bounded(depth);
+    std::thread::scope(|s| {
+        let producer = s.spawn(move || {
+            let mut sink = FrameSink::new(tx);
+            produce(&mut sink).map_err(|e| {
+                if sink.disconnected() {
+                    StreamError::Disconnected
+                } else {
+                    StreamError::Sim(e)
+                }
+            })
+        });
+        let folded = fold(rx);
+        let produced = producer
+            .join()
+            .unwrap_or_else(|_| Err(StreamError::Stage("pipeline stage panicked".into())));
+        match (produced, folded) {
+            (Ok(output), Ok(())) => Ok(output),
+            (Err(StreamError::Disconnected), Err(e)) | (Ok(_), Err(e)) => Err(e.into()),
+            (Err(e), _) => Err(e),
         }
-    }
-}
-
-/// The sink stage: decodes frames and folds them into the salvaged
-/// (and optionally windowed) reductions.
-struct FoldStage<'a> {
-    scan: &'a StreamScan,
-    windows: Option<usize>,
-    salvaged: &'a mut Option<SalvagedTrace>,
-    windowed: &'a mut Option<Vec<ReducedTrace>>,
-}
-
-impl Stage for FoldStage<'_> {
-    type In = Bytes;
-    type Out = ();
-
-    fn run(self, rx: StageRx<Bytes>, _tx: StageTx<()>) -> Result<(), StreamError> {
-        let mut salvage = SalvageSink::new(self.scan.activities.clone());
-        let mut windowed = match self.windows {
-            Some(w) => Some(WindowSink::new(
-                w,
-                self.scan.makespan,
-                self.scan.activities.clone(),
-            )?),
-            None => None,
-        };
-        match &mut windowed {
-            Some(ws) => {
-                let mut tee = TeeSink::new(&mut salvage, ws);
-                drain_frames(rx, &mut tee)?;
-            }
-            None => drain_frames(rx, &mut salvage)?,
-        }
-        *self.salvaged = salvage.into_salvaged();
-        *self.windowed = windowed.and_then(WindowSink::into_windows);
-        Ok(())
-    }
+    })
 }
 
 /// The turnkey streaming driver: simulate → frames → salvaged (and
@@ -485,7 +310,7 @@ impl Stage for FoldStage<'_> {
 /// 1. a direct, channel-free O(1)-memory pass through a
 ///    [`ScanSink`], learning the makespan and activity set the
 ///    reducing folds need at construction;
-/// 2. the pipelined pass — [`FrameSink`] producer chained over a
+/// 2. the pipelined pass — a [`FrameSink`] producer sending over one
 ///    bounded channel to the decoding fold — where backpressure keeps
 ///    at most `depth + 2` frames of trace alive at once.
 ///
@@ -528,55 +353,49 @@ pub fn stream_reduce_tee(
     cfg: &StreamConfig,
     tee: Option<&mut (dyn TraceSink + Send)>,
 ) -> Result<StreamedReduction, StreamError> {
+    let run = |sink: &mut dyn TraceSink| {
+        sim.run_streaming_parallel_configured(
+            program,
+            faults,
+            balance,
+            budget,
+            cfg.jobs,
+            sink,
+            cfg.frame_events,
+        )
+    };
+
     // Pass 1: scan.
     let mut scan_sink = ScanSink::new();
-    sim.run_streaming_parallel_configured(
-        program,
-        faults,
-        balance,
-        budget,
-        cfg.jobs,
-        &mut scan_sink,
-        cfg.frame_events,
-    )?;
+    run(&mut scan_sink)?;
     let scan = scan_sink
         .into_scan()
         .ok_or_else(|| StreamError::Stage("scan pass ended before finish".into()))?;
 
     // Pass 2: pipelined fold.
-    let mut output = None;
-    let mut salvaged = None;
-    let mut windowed = None;
-    let source = SimulateStage {
-        sim,
-        program,
-        faults,
-        balance,
-        budget,
-        frame_events: cfg.frame_events,
-        jobs: cfg.jobs,
-        out: &mut output,
-        tee,
-    };
-    let fold = FoldStage {
-        scan: &scan,
-        windows: cfg.windows,
-        salvaged: &mut salvaged,
-        windowed: &mut windowed,
-    };
-    run_pipeline(source.then(cfg.depth, fold))?;
-
-    let output =
-        output.ok_or_else(|| StreamError::Stage("simulation produced no output".into()))?;
-    let salvaged =
-        salvaged.ok_or_else(|| StreamError::Stage("fold stage produced no reduction".into()))?;
-    if cfg.windows.is_some() && windowed.is_none() {
-        return Err(StreamError::Stage("fold stage produced no windows".into()));
-    }
+    let mut salvage = SalvageSink::new(scan.activities.clone());
+    let mut windowed = cfg
+        .windows
+        .map(|w| WindowSink::new(w, scan.makespan, scan.activities.clone()))
+        .transpose()?;
+    let output = pipeline(
+        cfg.depth,
+        |frames| match tee {
+            Some(tee) => run(&mut TeeSink::new(tee, frames)),
+            None => run(frames),
+        },
+        |rx| match &mut windowed {
+            Some(windows) => drain_frames(rx, &mut TeeSink::new(&mut salvage, windows)),
+            None => drain_frames(rx, &mut salvage),
+        },
+    )?;
+    let salvaged = salvage
+        .into_salvaged()
+        .ok_or_else(|| StreamError::Stage("fold produced no reduction".into()))?;
     Ok(StreamedReduction {
         output,
         salvaged,
-        windows: windowed,
+        windows: windowed.and_then(WindowSink::into_windows),
         scan,
     })
 }
@@ -643,14 +462,19 @@ mod tests {
 
     #[test]
     fn consumer_failure_cancels_the_producer() {
-        /// A consumer that dies after one frame.
-        struct QuitStage;
-        impl Stage for QuitStage {
-            type In = Bytes;
-            type Out = ();
-            fn run(self, rx: StageRx<Bytes>, _tx: StageTx<()>) -> Result<(), StreamError> {
-                let _ = rx.recv();
-                Err(StreamError::Stage("consumer gave up".into()))
+        /// A fold that accepts the header frame, then gives up.
+        struct QuitSink;
+        impl TraceSink for QuitSink {
+            fn begin(&mut self, _: usize, _: &[String]) -> Result<(), TraceError> {
+                Ok(())
+            }
+            fn events(&mut self, _: &[limba_trace::Event]) -> Result<(), TraceError> {
+                Err(TraceError::Malformed {
+                    detail: "consumer gave up".into(),
+                })
+            }
+            fn finish(&mut self) -> Result<(), TraceError> {
+                Ok(())
             }
         }
 
@@ -658,22 +482,22 @@ mod tests {
         let sim = machine(ranks);
         let program = sample_program(ranks);
         let mut out = None;
-        let source = SimulateStage {
-            sim: &sim,
-            program: &program,
-            faults: None,
-            balance: None,
-            budget: None,
-            frame_events: 1,
-            jobs: 1,
-            out: &mut out,
-            tee: None,
-        };
-        let err = run_pipeline(source.then(0, QuitStage)).expect_err("pipeline must fail");
+        let err = pipeline(
+            0,
+            |frames| {
+                let run =
+                    sim.run_streaming_parallel_configured(&program, None, None, None, 1, frames, 1);
+                out = run.as_ref().ok().cloned();
+                run
+            },
+            |rx| drain_frames(rx, &mut QuitSink),
+        )
+        .expect_err("pipeline must fail");
         // The consumer's own error survives; the producer's
         // disconnection echo does not mask it.
         assert!(
-            matches!(err, StreamError::Stage(ref d) if d == "consumer gave up"),
+            matches!(err, StreamError::Trace(TraceError::Malformed { ref detail })
+                if detail == "consumer gave up"),
             "{err}"
         );
         assert!(out.is_none(), "cancelled run must not produce output");

@@ -1,10 +1,14 @@
 //! Compact binary codec for traces.
 //!
-//! Layout (all integers little-endian):
+//! Every writer in this crate emits one container: the chunked
+//! version 3 of [`crate::stream`], whose layout is documented on
+//! [`StreamEncoder`]. [`to_bytes`] and [`write()`] encode a whole
+//! trace into it, one event chunk per 4096 events, so both produce
+//! identical bytes. Versions 1 and 2 are read-only legacy formats:
 //!
 //! ```text
 //! magic    8 bytes  "LIMBATRC"
-//! version  u16      2
+//! version  u16      1 or 2
 //! procs    u32
 //! nregions u32
 //! regions  nregions × (u32 length, utf-8 bytes)
@@ -13,45 +17,52 @@
 //! checksum u64      FNV-1a of every preceding byte (version 2 only)
 //! ```
 //!
-//! Operands by op code: `0` enter / `1` leave → `u32` region; `2` begin /
-//! `3` end → `u8` activity index; `4` send / `5` recv → `u32` peer +
-//! `u64` bytes.
+//! Event records are the same in every version. Operands by op code:
+//! `0` enter / `1` leave → `u32` region; `2` begin / `3` end → `u8`
+//! activity index; `4` send / `5` recv → `u32` peer + `u64` bytes.
 //!
-//! Version 2 appends an FNV-1a content checksum so silent corruption
-//! (bit rot, torn copies) surfaces as
-//! [`TraceError::ChecksumMismatch`] instead of a confusing structural
-//! error — or worse, a plausible-but-wrong trace. Version 1 files,
-//! which carry no checksum, remain readable.
+//! All versions are read by one decoder, [`StreamDecoder`];
+//! [`from_bytes`] drives it over a whole buffer. Versions 2 and 3 carry
+//! an FNV-1a content checksum in their last 8 bytes, and the
+//! whole-buffer reader reports any damage to them as
+//! [`TraceError::ChecksumMismatch`], as if the checksum were verified
+//! before any structure, so silent corruption (bit rot, torn copies)
+//! never surfaces as a confusing structural error — or worse, a
+//! plausible-but-wrong trace.
 //!
-//! The decoder is hardened against hostile input: every count field
-//! (region count, name length, event count) is bounded against the
-//! bytes actually remaining before anything is allocated, so a
-//! corrupted header claiming four billion events is rejected in O(1)
-//! with a named error rather than attempted.
+//! The decoder is hardened against hostile input: every count field is
+//! capped, and the whole-buffer reader bounds the declared event count
+//! by the bytes that could hold it before it reserves the event vector,
+//! so a corrupted header claiming four billion events is rejected in
+//! O(1) with a named error rather than attempted.
+//!
+//! [`StreamEncoder`]: crate::StreamEncoder
+//! [`StreamDecoder`]: crate::StreamDecoder
 
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use limba_model::ActivityKind;
 
-use crate::{Event, EventPayload, Trace, TraceBuilder, TraceError};
+use crate::stream::{self, MaterializeSink, StreamDecoder, STREAM_VERSION};
+use crate::{Event, EventPayload, Trace, TraceError};
 
 const MAGIC: &[u8; 8] = b"LIMBATRC";
-const VERSION: u16 = 2;
-/// Oldest version [`from_bytes`] still decodes.
-const MIN_VERSION: u16 = 1;
-/// Smallest possible encoding of one region table entry (empty name).
-const MIN_REGION_BYTES: usize = 4;
+/// Events per event chunk of the containers [`to_bytes`] and [`write()`]
+/// produce.
+const FRAME_EVENTS: usize = 4096;
+/// Bytes before the region table: magic, version, processor and region
+/// counts — the same in every version.
+const PRELUDE: usize = 18;
 /// Smallest possible encoding of one event (begin/end activity).
 const MIN_EVENT_BYTES: usize = 8 + 4 + 1 + 1;
 /// Largest processor count a decoded header may declare (4Mi — 40×
 /// headroom over the 100k-rank simulation target). The count is a bare
-/// scalar with no per-entry bytes behind it, so the
-/// remaining-bytes bound that caps the region and event counts cannot
-/// touch it — yet downstream consumers size per-processor tables from
-/// it ([`Trace::events_partitioned`], salvage), which a hostile 4-byte
-/// header could otherwise turn into a multi-GB allocation.
+/// scalar with no per-entry bytes behind it, yet downstream consumers
+/// size per-processor tables from it (validation, the folds), which a
+/// hostile 4-byte header could otherwise turn into a multi-GB
+/// allocation.
 pub(crate) const MAX_PROCESSORS: usize = 1 << 22;
 
 fn malformed(detail: impl Into<String>) -> TraceError {
@@ -63,7 +74,7 @@ fn malformed(detail: impl Into<String>) -> TraceError {
 /// Incremental FNV-1a state: feed bytes in any chunking, the digest is
 /// a pure function of the concatenated stream. The one-shot [`fnv1a`]
 /// and the streaming codec ([`crate::stream`]) both fold through this,
-/// so a checksum computed over a materialized buffer and one computed
+/// so a checksum computed over a whole buffer and one computed
 /// frame-by-frame agree by construction.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fnv(u64);
@@ -95,8 +106,7 @@ fn fnv1a(data: &[u8]) -> u64 {
 }
 
 /// Appends the wire encoding of one event to `buf` — the record layout
-/// shared by the materialized format (versions 1–2) and the streamed
-/// chunk format (version 3, [`crate::stream`]).
+/// of every container version.
 pub(crate) fn put_event(buf: &mut BytesMut, e: &Event) {
     buf.put_f64_le(e.time);
     buf.put_u32_le(e.proc);
@@ -202,27 +212,15 @@ pub(crate) fn try_event(buf: &[u8]) -> Result<Option<(Event, usize)>, TraceError
     )))
 }
 
-/// Encodes `trace` into a byte buffer.
+/// Encodes `trace` into a version-3 byte buffer (see the module docs).
+/// A trace over the decoder's caps (processor count, region table)
+/// still encodes, but no reader accepts the result.
 pub fn to_bytes(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + trace.events().len() * 24);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u32_le(trace.processors() as u32);
-    buf.put_u32_le(trace.region_names().len() as u32);
-    for name in trace.region_names() {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-    }
-    buf.put_u64_le(trace.events().len() as u64);
-    for e in trace.events() {
-        put_event(&mut buf, e);
-    }
-    let checksum = fnv1a(buf.as_ref());
-    buf.put_u64_le(checksum);
-    buf.freeze()
+    stream::encode(trace, FRAME_EVENTS)
 }
 
-/// Writes the binary encoding of `trace` to `writer`.
+/// Writes the binary encoding of `trace` to `writer`: exactly the bytes
+/// of [`to_bytes`].
 ///
 /// # Errors
 ///
@@ -232,151 +230,95 @@ pub fn write<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceError> {
     Ok(())
 }
 
-macro_rules! need {
-    ($buf:expr, $n:expr, $what:expr) => {
-        if $buf.remaining() < $n {
-            return Err(malformed(concat!("truncated while reading ", $what)));
-        }
-    };
-}
-
-/// Decodes a trace from a byte slice.
+/// Decodes a trace from a byte slice in any container version (3, or
+/// legacy 1–2): [`StreamDecoder`] parses the slice in place into a
+/// [`MaterializeSink`] whose event vector is reserved once from the
+/// declared count.
 ///
-/// Reads the current version (2, with trailing content checksum) and
-/// legacy version-1 files (no checksum).
+/// A damaged version 2–3 buffer fails with
+/// [`TraceError::ChecksumMismatch`], exactly as if its checksum were
+/// verified before any structure: a successful decode has verified the
+/// checksum, and a failed one is re-examined against it. (Hashing while
+/// parsing, rather than in a pass of its own first, hides the serial
+/// checksum chain behind the parsing work.)
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Malformed`] for bad magic, version, truncation,
-/// count fields exceeding the remaining input, or invalid activity
-/// indices, and [`TraceError::ChecksumMismatch`] when a version-2
-/// payload does not hash to its recorded checksum. The decoded trace is
-/// not validated.
+/// Returns [`TraceError::ChecksumMismatch`] when a version-2 or -3
+/// payload does not hash to its recorded checksum, a malformed-trace
+/// error when the declared event count exceeds what the bytes can
+/// hold, and otherwise the decoder's named errors (bad magic or
+/// version, count caps, truncation, trailing bytes, invalid records).
+/// The decoded trace is not validated.
 pub fn from_bytes(buf: &[u8]) -> Result<Trace, TraceError> {
-    let full = buf;
-    let mut buf = buf;
-    need!(buf, 8 + 2 + 4 + 4, "header");
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(malformed("bad magic"));
-    }
-    let version = buf.get_u16_le();
-    if version == crate::stream::STREAM_VERSION {
-        // A streamed (version-3) file: the chunked container the
-        // streaming encoder writes. Decode it through the incremental
-        // decoder into a materializing sink — readers of the
-        // materialized path see streamed files transparently.
-        return crate::stream::trace_from_stream_bytes(full);
-    }
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(malformed(format!(
-            "unsupported version {version} (this build reads {MIN_VERSION}..={VERSION} \
-             and streamed version {})",
-            crate::stream::STREAM_VERSION
-        )));
-    }
-    let body_len = if version >= 2 {
-        // Verify the whole payload before trusting any of its structure.
-        need!(buf, 8, "content checksum");
-        let body_len = full.len() - 8;
-        let expected =
-            u64::from_le_bytes(full[body_len..].try_into().expect("8-byte checksum slice"));
-        let actual = fnv1a(&full[..body_len]);
-        if expected != actual {
-            return Err(TraceError::ChecksumMismatch { expected, actual });
-        }
-        body_len
-    } else {
-        full.len()
+    let version = match buf.get(8..10) {
+        Some(v) if buf.starts_with(MAGIC) => u16::from_le_bytes([v[0], v[1]]),
+        _ => 0,
     };
-    let mut buf = full
-        .get(10..body_len)
-        .ok_or_else(|| malformed("truncated while reading header"))?;
-    need!(buf, 4 + 4, "header counts");
-    let processors = buf.get_u32_le() as usize;
-    if processors > MAX_PROCESSORS {
+    decode(buf, version).map_err(|e| checksum_failure(buf, version).unwrap_or(e))
+}
+
+fn decode(buf: &[u8], version: u16) -> Result<Trace, TraceError> {
+    let mut sink = MaterializeSink::reserving(declared_events(buf, version)?);
+    let mut decoder = StreamDecoder::new();
+    decoder.feed(buf, &mut sink)?;
+    decoder.finish(&mut sink)?;
+    Ok(sink.into_trace().expect("a finished decode materializes"))
+}
+
+/// The checksum error of a version 2–3 buffer whose last 8 bytes are not
+/// the FNV-1a of everything before them.
+fn checksum_failure(buf: &[u8], version: u16) -> Option<TraceError> {
+    if !(2..=STREAM_VERSION).contains(&version) || buf.len() < PRELUDE + 8 {
+        return None;
+    }
+    let body = buf.len() - 8;
+    let expected = u64::from_le_bytes(buf[body..].try_into().expect("8-byte checksum"));
+    let actual = fnv1a(&buf[..body]);
+    (expected != actual).then_some(TraceError::ChecksumMismatch { expected, actual })
+}
+
+/// The event count a whole buffer declares — the legacy header count,
+/// or the version-3 end chunk's total — checked against what the bytes
+/// after the region table can hold. `0` when the header is too damaged
+/// to say; the decoder then names the damage.
+fn declared_events(buf: &[u8], version: u16) -> Result<usize, TraceError> {
+    let u32_at = |at: usize| {
+        buf.get(at..at + 4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    };
+    let u64_at = |at: usize| {
+        buf.get(at..at + 8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    };
+    // Every version lays the region table out alike after the prelude.
+    let mut at = PRELUDE;
+    for _ in 0..u32_at(14).unwrap_or(0) {
+        match u32_at(at) {
+            Some(len) => at += 4 + len as usize,
+            None => return Ok(0),
+        }
+    }
+    let (declared, room) = match version {
+        1 | 2 => (
+            u64_at(at),
+            buf.len().saturating_sub(at + 8 * version as usize),
+        ),
+        STREAM_VERSION => match buf.len().checked_sub(at + 17) {
+            Some(room) => (u64_at(buf.len() - 16), room),
+            None => (None, 0),
+        },
+        _ => (None, 0),
+    };
+    let Some(declared) = declared else {
+        return Ok(0);
+    };
+    if declared.saturating_mul(MIN_EVENT_BYTES as u64) > room as u64 {
         return Err(malformed(format!(
-            "processor count {processors} exceeds the supported maximum {MAX_PROCESSORS}"
+            "event count {declared} exceeds what {room} remaining bytes can hold"
         )));
     }
-    let nregions = buf.get_u32_le() as usize;
-    if nregions.saturating_mul(MIN_REGION_BYTES) > buf.remaining() {
-        return Err(malformed(format!(
-            "region count {nregions} exceeds what {} remaining bytes can hold",
-            buf.remaining()
-        )));
-    }
-    let mut builder = TraceBuilder::new(processors);
-    for _ in 0..nregions {
-        need!(buf, 4, "region name length");
-        let len = buf.get_u32_le() as usize;
-        need!(buf, len, "region name");
-        let mut name = vec![0u8; len];
-        buf.copy_to_slice(&mut name);
-        let name = String::from_utf8(name)
-            .map_err(|e| malformed(format!("region name not utf-8: {e}")))?;
-        builder.add_region(name);
-    }
-    need!(buf, 8, "event count");
-    let nevents = buf.get_u64_le();
-    if nevents.saturating_mul(MIN_EVENT_BYTES as u64) > buf.remaining() as u64 {
-        return Err(malformed(format!(
-            "event count {nevents} exceeds what {} remaining bytes can hold",
-            buf.remaining()
-        )));
-    }
-    // Bounded above by remaining bytes, so this reserve is safe — and it
-    // turns the event loop's growth into one up-front allocation.
-    builder.reserve_events(nevents as usize);
-    for _ in 0..nevents {
-        need!(buf, 8 + 4 + 1, "event header");
-        let time = buf.get_f64_le();
-        let proc = buf.get_u32_le();
-        let op = buf.get_u8();
-        let payload = match op {
-            0 | 1 => {
-                need!(buf, 4, "region operand");
-                let region = buf.get_u32_le() as usize;
-                if op == 0 {
-                    EventPayload::EnterRegion { region }
-                } else {
-                    EventPayload::LeaveRegion { region }
-                }
-            }
-            2 | 3 => {
-                need!(buf, 1, "activity operand");
-                let idx = buf.get_u8() as usize;
-                let kind = ActivityKind::from_index(idx)
-                    .ok_or_else(|| malformed(format!("bad activity index {idx}")))?;
-                if op == 2 {
-                    EventPayload::BeginActivity { kind }
-                } else {
-                    EventPayload::EndActivity { kind }
-                }
-            }
-            4 | 5 => {
-                need!(buf, 12, "message operand");
-                let peer = buf.get_u32_le();
-                let bytes = buf.get_u64_le();
-                if op == 4 {
-                    EventPayload::MessageSend { peer, bytes }
-                } else {
-                    EventPayload::MessageRecv { peer, bytes }
-                }
-            }
-            other => return Err(malformed(format!("unknown op code {other}"))),
-        };
-        builder.push(Event {
-            time,
-            proc,
-            payload,
-        });
-    }
-    if buf.has_remaining() {
-        return Err(malformed(format!("{} trailing bytes", buf.remaining())));
-    }
-    Ok(builder.build())
+    Ok(declared as usize)
 }
 
 /// Reads a binary trace from `reader` (consumes to end of stream).
@@ -393,6 +335,13 @@ pub fn read<R: Read>(mut reader: R) -> Result<Trace, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceBuilder;
+
+    /// A version-1 file (no checksum) written by the last build that
+    /// wrote legacy containers; it encodes [`legacy_trace`].
+    const V1: &[u8] = include_bytes!("../../../tests/golden/legacy_v1.limba");
+    /// The version-2 file (trailing checksum) of the same trace.
+    const V2: &[u8] = include_bytes!("../../../tests/golden/legacy_v2.limba");
 
     fn sample() -> Trace {
         let mut b = TraceBuilder::new(3);
@@ -409,12 +358,53 @@ mod tests {
         b.build()
     }
 
+    /// The trace the committed legacy fixtures encode: four ranks with
+    /// skewed work, nested regions, every event kind, and ranks
+    /// interleaved in recording order.
+    fn legacy_trace() -> Trace {
+        let mut b = TraceBuilder::new(4);
+        let main = b.add_region("main");
+        let solve = b.add_region("solve");
+        let halo = b.add_region("halo exchange");
+        let ranks: Vec<Vec<Event>> = (0..4u32)
+            .map(|p| {
+                let t = 1.0 + 0.25 * p as f64;
+                vec![
+                    Event::enter(0.0, p, main),
+                    Event::enter(0.125, p, solve),
+                    Event::leave(t, p, solve),
+                    Event::enter(t, p, halo),
+                    Event::message_send(t + 0.0625, p, (p + 1) % 4, 4096),
+                    Event::begin_activity(t + 0.125, p, ActivityKind::PointToPoint),
+                    Event::message_recv(t + 0.25, p, (p + 3) % 4, 4096),
+                    Event::end_activity(t + 0.375, p, ActivityKind::PointToPoint),
+                    Event::leave(t + 0.5, p, halo),
+                    Event::begin_activity(t + 0.5, p, ActivityKind::Collective),
+                    Event::end_activity(2.5, p, ActivityKind::Collective),
+                    Event::leave(3.0, p, main),
+                ]
+            })
+            .collect();
+        for k in 0..ranks[0].len() {
+            for rank in &ranks {
+                b.push(rank[k]);
+            }
+        }
+        b.build()
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
         let t = sample();
         let bytes = to_bytes(&t);
         let back = from_bytes(&bytes).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn to_bytes_writes_version_3() {
+        let bytes = to_bytes(&sample());
+        assert_eq!(&bytes[8..10], &STREAM_VERSION.to_le_bytes());
     }
 
     /// Timestamps off the wire must be finite: NaN and ±inf are
@@ -442,18 +432,21 @@ mod tests {
         let t = sample();
         let mut buf = Vec::new();
         write(&t, &mut buf).unwrap();
+        assert_eq!(buf, to_bytes(&t).to_vec());
         let back = read(buf.as_slice()).unwrap();
         assert_eq!(t, back);
     }
 
     #[test]
     fn truncation_anywhere_is_detected() {
-        let bytes = to_bytes(&sample());
-        for cut in 0..bytes.len() {
-            assert!(
-                from_bytes(&bytes[..cut]).is_err(),
-                "truncation at {cut} was accepted"
-            );
+        let v3 = to_bytes(&sample());
+        for bytes in [V1, V2, &v3[..]] {
+            for cut in 0..bytes.len() {
+                assert!(
+                    from_bytes(&bytes[..cut]).is_err(),
+                    "truncation at {cut} was accepted"
+                );
+            }
         }
     }
 
@@ -475,19 +468,25 @@ mod tests {
         assert!(from_bytes(&bytes).is_err());
     }
 
-    /// Rewrites current-version bytes as a version-1 file: version field
-    /// patched to 1, trailing checksum stripped.
-    fn as_v1(bytes: &[u8]) -> Vec<u8> {
-        let mut v1 = bytes[..bytes.len() - 8].to_vec();
-        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
-        v1
+    #[test]
+    fn legacy_fixtures_still_decode() {
+        assert_eq!(from_bytes(V2).unwrap(), legacy_trace());
+        assert_eq!(&V1[8..10], &1u16.to_le_bytes());
+        assert_eq!(from_bytes(V1).unwrap(), legacy_trace());
     }
 
     #[test]
-    fn version_1_files_without_checksum_still_decode() {
-        let t = sample();
-        let v1 = as_v1(&to_bytes(&t));
-        assert_eq!(from_bytes(&v1).unwrap(), t);
+    fn legacy_fixtures_decode_split_at_every_byte() {
+        for bytes in [V1, V2] {
+            for cut in 0..=bytes.len() {
+                let mut sink = MaterializeSink::new();
+                let mut decoder = StreamDecoder::new();
+                decoder.feed(&bytes[..cut], &mut sink).unwrap();
+                decoder.feed(&bytes[cut..], &mut sink).unwrap();
+                decoder.finish(&mut sink).unwrap();
+                assert_eq!(sink.into_trace().unwrap(), legacy_trace(), "split at {cut}");
+            }
+        }
     }
 
     #[test]
@@ -512,9 +511,8 @@ mod tests {
     fn version_1_bit_flips_are_detected_or_decode_structurally() {
         // Without a checksum the best v1 can do is structural rejection;
         // this locks in that no flip panics or over-allocates.
-        let v1 = as_v1(&to_bytes(&sample()));
-        for i in 0..v1.len() {
-            let mut corrupt = v1.clone();
+        for i in 0..V1.len() {
+            let mut corrupt = V1.to_vec();
             corrupt[i] ^= 0x01;
             let _ = from_bytes(&corrupt);
         }
@@ -526,9 +524,8 @@ mod tests {
         // no per-entry bytes exist to bound it against, so only the
         // explicit cap stands between the header and the multi-GB
         // per-processor tables downstream consumers allocate from it.
-        let mut bytes = to_bytes(&TraceBuilder::new(1).build()).to_vec();
-        bytes[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
-        let v1 = as_v1(&bytes);
+        let mut v1 = V1.to_vec();
+        v1[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
         match from_bytes(&v1) {
             Err(TraceError::Malformed { detail }) => {
                 assert!(detail.contains("processor count"), "{detail}")
@@ -537,14 +534,13 @@ mod tests {
         }
 
         // The cap boundary itself: exactly MAX_PROCESSORS decodes.
-        let mut bytes = to_bytes(&TraceBuilder::new(1).build()).to_vec();
-        bytes[10..14].copy_from_slice(&(MAX_PROCESSORS as u32).to_le_bytes());
-        assert!(from_bytes(&as_v1(&bytes)).is_ok());
+        let mut v1 = V1.to_vec();
+        v1[10..14].copy_from_slice(&(MAX_PROCESSORS as u32).to_le_bytes());
+        assert!(from_bytes(&v1).is_ok());
 
-        // Region count claiming u32::MAX entries in a near-empty file.
-        let mut bytes = to_bytes(&TraceBuilder::new(1).build()).to_vec();
-        bytes[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
-        let v1 = as_v1(&bytes);
+        // Region count claiming u32::MAX entries.
+        let mut v1 = V1.to_vec();
+        v1[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
         match from_bytes(&v1) {
             Err(TraceError::Malformed { detail }) => {
                 assert!(detail.contains("region count"), "{detail}")
@@ -553,10 +549,14 @@ mod tests {
         }
 
         // Event count claiming u64::MAX events.
-        let mut bytes = to_bytes(&TraceBuilder::new(1).build()).to_vec();
-        let nevents_at = bytes.len() - 8 - 8; // before checksum
-        bytes[nevents_at..nevents_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let v1 = as_v1(&bytes);
+        let mut v1 = V1.to_vec();
+        let nevents_at = PRELUDE
+            + legacy_trace()
+                .region_names()
+                .iter()
+                .map(|name| 4 + name.len())
+                .sum::<usize>();
+        v1[nevents_at..nevents_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         match from_bytes(&v1) {
             Err(TraceError::Malformed { detail }) => {
                 assert!(detail.contains("event count"), "{detail}")
@@ -565,11 +565,8 @@ mod tests {
         }
 
         // A region name length larger than the rest of the file.
-        let mut b = TraceBuilder::new(1);
-        b.add_region("x");
-        let mut bytes = to_bytes(&b.build()).to_vec();
-        bytes[18..22].copy_from_slice(&u32::MAX.to_le_bytes());
-        let v1 = as_v1(&bytes);
+        let mut v1 = V1.to_vec();
+        v1[18..22].copy_from_slice(&u32::MAX.to_le_bytes());
         match from_bytes(&v1) {
             Err(TraceError::Malformed { detail }) => {
                 assert!(detail.contains("region name"), "{detail}")

@@ -69,8 +69,8 @@ impl SealScan {
     }
 }
 
-/// Incremental torn-tail detector over a chunked-v3 (or materialized
-/// v1–2) byte stream. Feed any byte split; structural damage stops the
+/// Incremental torn-tail detector over a chunked-v3 (or legacy v1–2)
+/// byte stream. Feed any byte split; structural damage stops the
 /// scan without erroring — the verdict is in the final [`SealScan`].
 #[derive(Default)]
 pub struct SealScanner {

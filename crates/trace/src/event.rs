@@ -1,7 +1,10 @@
 //! The trace event model.
 
+use std::cmp::Ordering;
+
 use limba_model::{ActivityKind, RegionId};
 
+use crate::stream::RankChecks;
 use crate::TraceError;
 
 /// What happened at one instant on one processor.
@@ -118,9 +121,11 @@ impl Event {
 /// A complete tracefile: the processor count, the region name table, and
 /// the event stream.
 ///
-/// Events may be appended in any order; [`Trace::events_by_processor`]
-/// provides the per-processor, time-ordered view reduction needs, and
-/// [`Trace::validate`] checks structural well-formedness.
+/// Events are kept in recording order. Ranks may interleave freely, but
+/// each rank's own events must be recorded in time order — the trace
+/// input contract every reader and fold relies on (every in-repo writer
+/// records that way, and the text reader sorts each rank on load).
+/// [`Trace::validate`] checks it along with structural well-formedness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     processors: usize,
@@ -157,131 +162,21 @@ impl Trace {
         evs
     }
 
-    /// All processors' time-sorted event lists in a single pass over the
-    /// stream: element `p` equals [`Trace::events_by_processor`]`(p)`.
-    /// Events naming an out-of-range processor are dropped (validation
-    /// reports them separately). This is what reduction iterates over;
-    /// the one-pass bucketing avoids the O(P · E) filter of calling
-    /// `events_by_processor` once per processor.
-    pub fn events_partitioned(&self) -> Vec<Vec<Event>> {
-        let mut sizes = vec![0usize; self.processors];
-        for e in &self.events {
-            if let Some(s) = sizes.get_mut(e.proc as usize) {
-                *s += 1;
-            }
-        }
-        let mut parts: Vec<Vec<Event>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for e in &self.events {
-            if let Some(bucket) = parts.get_mut(e.proc as usize) {
-                bucket.push(*e);
-            }
-        }
-        for bucket in &mut parts {
-            // Stable, like events_by_processor: simultaneous events keep
-            // recording order, which reduction's attribution relies on.
-            bucket.sort_by(|a, b| a.time.total_cmp(&b.time));
-        }
-        parts
-    }
-
     /// Checks structural well-formedness: processor and region indices in
     /// range, per-processor monotone clocks, balanced region nesting, and
-    /// matched activity begin/end pairs.
+    /// matched activity begin/end pairs. These are the checks the strict
+    /// reductions run inline.
     ///
     /// # Errors
     ///
-    /// Returns the first violation found.
+    /// Returns the first violation in recording order; regions or
+    /// activities still open at the end are reported in rank order.
     pub fn validate(&self) -> Result<(), TraceError> {
+        let mut checks = RankChecks::new(self.processors, self.region_names.len());
         for e in &self.events {
-            if e.proc as usize >= self.processors {
-                return Err(TraceError::UnknownProcessor { proc: e.proc });
-            }
-            match e.payload {
-                EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
-                    if region >= self.region_names.len() =>
-                {
-                    return Err(TraceError::UnknownRegion { region });
-                }
-                _ => {}
-            }
+            checks.step(e)?;
         }
-        for (proc, events) in (0u32..).zip(self.events_partitioned()) {
-            let mut region_stack: Vec<usize> = Vec::new();
-            let mut activity: Option<ActivityKind> = None;
-            let mut last_time = f64::NEG_INFINITY;
-            for e in events {
-                if e.time < last_time {
-                    return Err(TraceError::NonMonotoneTime {
-                        proc,
-                        before: last_time,
-                        after: e.time,
-                    });
-                }
-                last_time = e.time;
-                match e.payload {
-                    EventPayload::EnterRegion { region } => region_stack.push(region),
-                    EventPayload::LeaveRegion { region } => match region_stack.pop() {
-                        Some(top) if top == region => {}
-                        Some(top) => {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("left region {region} while inside {top}"),
-                            })
-                        }
-                        None => {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("left region {region} that was never entered"),
-                            })
-                        }
-                    },
-                    EventPayload::BeginActivity { kind } => {
-                        if let Some(current) = activity {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("began {kind} while {current} still active"),
-                            });
-                        }
-                        if region_stack.is_empty() {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("began {kind} outside any region"),
-                            });
-                        }
-                        activity = Some(kind);
-                    }
-                    EventPayload::EndActivity { kind } => match activity.take() {
-                        Some(current) if current == kind => {}
-                        Some(current) => {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("ended {kind} while {current} active"),
-                            })
-                        }
-                        None => {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("ended {kind} that never began"),
-                            })
-                        }
-                    },
-                    EventPayload::MessageSend { .. } | EventPayload::MessageRecv { .. } => {}
-                }
-            }
-            if let Some(kind) = activity {
-                return Err(TraceError::UnbalancedNesting {
-                    proc,
-                    detail: format!("activity {kind} still open at end of trace"),
-                });
-            }
-            if let Some(region) = region_stack.pop() {
-                return Err(TraceError::UnbalancedNesting {
-                    proc,
-                    detail: format!("region {region} still open at end of trace"),
-                });
-            }
-        }
-        Ok(())
+        checks.finish()
     }
 }
 
@@ -357,6 +252,39 @@ impl TraceBuilder {
         self.events.is_empty()
     }
 
+    /// Stably sorts each rank's events by time, keeping every rank's
+    /// events in the slots that rank already occupies, so the
+    /// interleaving of ranks is unchanged; a no-op (one O(n) check) when
+    /// every rank is already in time order. Events naming an
+    /// out-of-range processor stay where they are.
+    pub(crate) fn sort_ranks(&mut self) {
+        let mut last = vec![f64::NEG_INFINITY; self.processors];
+        let ordered = self
+            .events
+            .iter()
+            .all(|e| match last.get_mut(e.proc as usize) {
+                Some(t) => std::mem::replace(t, e.time) <= e.time,
+                None => true,
+            });
+        if ordered {
+            return;
+        }
+        let mut slots: Vec<Vec<usize>> = vec![Vec::new(); self.processors];
+        for (i, e) in self.events.iter().enumerate() {
+            if let Some(rank) = slots.get_mut(e.proc as usize) {
+                rank.push(i);
+            }
+        }
+        for rank in slots {
+            let mut events: Vec<Event> = rank.iter().map(|&i| self.events[i]).collect();
+            // `<` order, as the clock check compares: -0.0 and +0.0 tie.
+            events.sort_by(|a, b| a.time.partial_cmp(&b.time).unwrap_or(Ordering::Equal));
+            for (i, e) in rank.into_iter().zip(events) {
+                self.events[i] = e;
+            }
+        }
+    }
+
     /// Finalizes the trace (without validating; call
     /// [`Trace::validate`] separately when the source is untrusted).
     pub fn build(self) -> Trace {
@@ -428,15 +356,28 @@ mod tests {
 
     #[test]
     fn detects_backwards_clock() {
-        // Same-timestamp events are fine; strictly decreasing is not. We
-        // need decreasing within sorted order, which cannot happen after
-        // sorting — so monotonicity violations only arise via NaN-free
-        // total order; craft equal times to confirm acceptance instead.
+        // Same-timestamp events are fine, and ranks interleave freely;
+        // a rank's own clock going backwards in recording order is not.
         let mut b = TraceBuilder::new(1);
         let m = b.add_region("m");
         b.push(Event::enter(1.0, 0, m));
         b.push(Event::leave(1.0, 0, m));
         b.build().validate().unwrap();
+
+        let mut b = TraceBuilder::new(2);
+        let m = b.add_region("m");
+        b.push(Event::enter(2.0, 0, m));
+        b.push(Event::enter(0.0, 1, m));
+        b.push(Event::leave(1.0, 0, m));
+        b.push(Event::leave(1.0, 1, m));
+        match b.build().validate() {
+            Err(TraceError::NonMonotoneTime {
+                proc: 0,
+                before,
+                after,
+            }) => assert_eq!((before, after), (2.0, 1.0)),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -514,22 +455,6 @@ mod tests {
         b.push(Event::leave(1.0, 0, a));
         b.push(Event::message_recv(0.7, 1, 0, 1024));
         b.build().validate().unwrap();
-    }
-
-    #[test]
-    fn events_partitioned_matches_per_processor_view() {
-        let t = well_formed();
-        let parts = t.events_partitioned();
-        assert_eq!(parts.len(), t.processors());
-        for (p, part) in parts.iter().enumerate() {
-            assert_eq!(part, &t.events_by_processor(p as u32));
-        }
-
-        // Out-of-range processors are dropped, not panicked on.
-        let mut b = TraceBuilder::new(1);
-        let m = b.add_region("m");
-        b.push(Event::enter(0.0, 7, m));
-        assert!(b.build().events_partitioned()[0].is_empty());
     }
 
     #[test]

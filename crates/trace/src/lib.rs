@@ -6,9 +6,15 @@
 //! the post-mortem half of that pipeline:
 //!
 //! * [`Event`] / [`Trace`] — a per-processor event model (region enter /
-//!   leave, activity begin / end, message send / receive);
+//!   leave, activity begin / end, message send / receive), each rank's
+//!   events recorded in time order;
 //! * [`binary`] and [`text`] — two on-disk codecs: a compact binary format
-//!   built on [`bytes`] and a line-oriented text format for humans;
+//!   built on [`bytes`] (the chunked container version 3 is the only one
+//!   written; versions 1–2 are read-only legacy formats) and a
+//!   line-oriented text format for humans;
+//! * [`stream`] — the incremental decoder and the folds (scan, strict,
+//!   windowed and salvaging reductions) that every reduction runs,
+//!   whether it is driven by an in-memory trace or by decoded frames;
 //! * [`validate`](Trace::validate) — structural checks (balanced nesting,
 //!   monotone clocks, matched activities);
 //! * [`reduce`] — the reduction of a trace into the
@@ -56,11 +62,11 @@ mod hierarchy;
 mod reduce;
 mod salvage;
 
+pub use durable::{DurableSink, SealScan, SealScanner};
 pub use event::{Event, EventPayload, Trace, TraceBuilder};
 pub use hierarchy::region_parents;
-pub use reduce::{reduce, reduce_well_formed, reduce_windows, Attribution, ReducedTrace};
+pub use reduce::{reduce, reduce_windows, Attribution, ReducedTrace};
 pub use salvage::{reduce_checked, RankCoverage, SalvageWalker, SalvagedTrace};
-pub use durable::{DurableSink, SealScan, SealScanner};
 pub use stream::{
     MaterializeSink, ReduceSink, SalvageSink, ScanSink, StreamDecoder, StreamEncoder, StreamScan,
     TeeSink, TraceSink, WindowSink, WriteSink,

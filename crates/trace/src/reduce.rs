@@ -1,11 +1,23 @@
 //! Reduction of traces into measurement matrices.
+//!
+//! The batch functions here run the stream folds over an in-memory
+//! trace: a [`ScanSink`] pass for the activity set and makespan, then
+//! one pass of the trace's events into the fold that does the work
+//! ([`ReduceSink`], [`WindowSink`]). The streaming paths run the same
+//! folds over decoded frames, so there is one implementation of each
+//! reduction.
+//!
+//! [`ScanSink`]: crate::ScanSink
+//! [`ReduceSink`]: crate::ReduceSink
+//! [`WindowSink`]: crate::WindowSink
 
 use limba_model::{
-    ActivityKind, ActivitySet, CountKind, CountMatrix, CountMatrixBuilder, Measurements,
-    MeasurementsBuilder, RegionId, STANDARD_ACTIVITIES,
+    ActivityKind, CountKind, CountMatrix, CountMatrixBuilder, Measurements, MeasurementsBuilder,
+    RegionId,
 };
 
-use crate::{Event, EventPayload, Trace, TraceError};
+use crate::stream::{drive, scan};
+use crate::{Event, EventPayload, ReduceSink, Trace, TraceError, WindowSink};
 
 /// Result of reducing a trace: the timing matrix `t_ijp` and the message
 /// counting parameters.
@@ -50,19 +62,19 @@ pub enum Attribution {
     },
 }
 
-/// The incremental per-processor attribution state machine behind
-/// [`walk_processor`]: one event at a time via [`ProcWalker::step`], so
-/// the batch reduction (which iterates a materialized slice) and the
-/// streaming folds ([`crate::stream`], which see events as frames
-/// arrive) share the exact attribution code — structural identity, not
-/// merely tested equivalence.
+/// The per-processor attribution state machine of the strict folds
+/// ([`ReduceSink`](crate::ReduceSink), [`WindowSink`](crate::WindowSink)),
+/// one event at a time via [`ProcWalker::step`].
 ///
-/// Expects a well-formed, time-ordered stream (panics on malformed
-/// input, shielded by validation on the batch path); the lenient
-/// counterpart is `SalvageWalker`.
+/// Expects a structurally valid, time-ordered stream, which the folds'
+/// inline checks guarantee before every step (it panics on malformed
+/// input); the lenient counterpart is `SalvageWalker`.
 pub(crate) struct ProcWalker {
     stack: Vec<usize>,
-    current: Option<(ActivityKind, f64)>,
+    /// Open activity: kind, start time, and the innermost region at its
+    /// begin — the attribution target when the region closes before the
+    /// activity does.
+    current: Option<(ActivityKind, f64, usize)>,
     mark: f64,
 }
 
@@ -107,13 +119,16 @@ impl ProcWalker {
                     start: self.mark,
                     end: e.time,
                 });
-                self.current = Some((kind, e.time));
+                self.current = Some((kind, e.time, top));
             }
             EventPayload::EndActivity { .. } => {
-                let (kind, start) = self.current.take().expect("validated: activity open");
-                let top = *self.stack.last().expect("validated: inside a region");
+                let (kind, start, begun_in) =
+                    self.current.take().expect("validated: activity open");
+                // The innermost region at the end, or the region the
+                // activity began in when that region has closed since
+                // (as `SalvageWalker` attributes it).
                 sink(Attribution::Interval {
-                    region: top,
+                    region: self.stack.last().copied().unwrap_or(begun_in),
                     kind,
                     start,
                     end: e.time,
@@ -156,42 +171,8 @@ impl ProcWalker {
     }
 }
 
-/// Walks one processor's (validated, time-sorted) events and emits
-/// attributions. Time between explicit activity intervals counts as
-/// computation; nested regions attribute to the innermost region.
-fn walk_processor<F: FnMut(Attribution)>(events: &[Event], mut sink: F) {
-    let mut walker = ProcWalker::new();
-    for e in events {
-        walker.step(e, &mut sink);
-    }
-}
-
-/// Folds one event into a running activity-kind list: the paper's
-/// standard four are seeded by the caller, extras append in
-/// first-appearance order. [`trace_activities`] folds a materialized
-/// trace through this; the streaming scan ([`crate::stream`]) folds the
-/// live event stream through the same function, so both discover the
-/// identical [`ActivitySet`].
-pub(crate) fn note_activity(kinds: &mut Vec<ActivityKind>, e: &Event) {
-    if let EventPayload::BeginActivity { kind } = e.payload {
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
-        }
-    }
-}
-
-/// The activity set of a trace: the paper's standard four plus whatever
-/// else the trace actually used, in canonical order.
-pub(crate) fn trace_activities(trace: &Trace) -> ActivitySet {
-    let mut kinds: Vec<ActivityKind> = STANDARD_ACTIVITIES.to_vec();
-    for e in trace.events() {
-        note_activity(&mut kinds, e);
-    }
-    ActivitySet::new(kinds)
-}
-
-/// Reduces a validated trace to per-(region, activity, processor)
-/// wall-clock times and message counts.
+/// Reduces a trace to per-(region, activity, processor) wall-clock
+/// times and message counts.
 ///
 /// Attribution rules:
 ///
@@ -203,74 +184,18 @@ pub(crate) fn trace_activities(trace: &Trace) -> ActivitySet {
 ///
 /// # Errors
 ///
-/// Returns validation errors (this function validates first) and model
-/// errors should the trace encode invalid values.
+/// Returns the first structural violation in recording order (the
+/// checks of [`Trace::validate`], run inline) and model errors should
+/// the trace encode invalid values.
 pub fn reduce(trace: &Trace) -> Result<ReducedTrace, TraceError> {
-    trace.validate()?;
-    reduce_unchecked(trace)
+    let mut fold = ReduceSink::new(scan(trace).activities);
+    drive(trace, &mut fold)?;
+    Ok(fold.into_reduced().expect("a finished fold has a result"))
 }
 
-/// Reduces a trace that is well-formed *by construction* — e.g. one the
-/// simulator just produced — skipping the structural validation pass
-/// that [`reduce`] performs. Identical results on valid input, roughly
-/// half the walk cost.
-///
-/// Feeding a malformed trace (unbalanced nesting, dangling activities)
-/// is a logic error and may panic; route externally loaded traces
-/// through [`reduce`] instead.
-///
-/// # Errors
-///
-/// Returns model errors should the trace encode invalid values.
-pub fn reduce_well_formed(trace: &Trace) -> Result<ReducedTrace, TraceError> {
-    reduce_unchecked(trace)
-}
-
-fn reduce_unchecked(trace: &Trace) -> Result<ReducedTrace, TraceError> {
-    let mut mb = MeasurementsBuilder::with_activities(trace.processors(), trace_activities(trace));
-    for name in trace.region_names() {
-        mb.add_region(name.clone());
-    }
-    let mut cb = CountMatrixBuilder::new(trace.processors());
-    let mut failure: Option<TraceError> = None;
-    for (proc, events) in (0u32..).zip(trace.events_partitioned()) {
-        walk_processor(&events, |attribution| {
-            if failure.is_some() {
-                return;
-            }
-            let result = match attribution {
-                Attribution::Interval {
-                    region,
-                    kind,
-                    start,
-                    end,
-                } => mb.record(RegionId::new(region), kind, proc as usize, end - start),
-                Attribution::Count {
-                    region,
-                    kind,
-                    amount,
-                    ..
-                } => cb
-                    .record(RegionId::new(region), kind, proc as usize, amount)
-                    .and(Ok(())),
-            };
-            if let Err(e) = result {
-                failure = Some(e.into());
-            }
-        });
-    }
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    Ok(ReducedTrace {
-        measurements: mb.build()?,
-        counts: cb.build(),
-    })
-}
-
-/// Reduces a validated trace into `windows` equal time slices of the
-/// run's `[0, makespan]` span, attributing each interval proportionally
-/// to the windows it overlaps (counts go to the window of their
+/// Reduces a trace into `windows` equal time slices of the run's
+/// `[0, makespan]` span, attributing each interval proportionally to
+/// the windows it overlaps (counts go to the window of their
 /// timestamp). The per-window matrices let the analysis track how load
 /// imbalance *evolves* over the execution.
 ///
@@ -279,60 +204,16 @@ fn reduce_unchecked(trace: &Trace) -> Result<ReducedTrace, TraceError> {
 /// Returns a malformed-trace error when `windows` is zero or the trace
 /// spans no time, plus the conditions of [`reduce`].
 pub fn reduce_windows(trace: &Trace, windows: usize) -> Result<Vec<ReducedTrace>, TraceError> {
-    trace.validate()?;
-    if windows == 0 {
-        return Err(TraceError::Malformed {
-            detail: "window count must be positive".into(),
-        });
-    }
-    let makespan = trace.events().iter().map(|e| e.time).fold(0.0f64, f64::max);
-    if makespan <= 0.0 {
-        return Err(TraceError::Malformed {
-            detail: "trace spans no time, cannot window".into(),
-        });
-    }
-    let width = makespan / windows as f64;
-    let activities = trace_activities(trace);
-    let mut builders: Vec<(MeasurementsBuilder, CountMatrixBuilder)> = (0..windows)
-        .map(|_| {
-            let mut mb =
-                MeasurementsBuilder::with_activities(trace.processors(), activities.clone());
-            for name in trace.region_names() {
-                mb.add_region(name.clone());
-            }
-            (mb, CountMatrixBuilder::new(trace.processors()))
-        })
-        .collect();
-    let mut failure: Option<TraceError> = None;
-    for (proc, events) in (0u32..).zip(trace.events_partitioned()) {
-        walk_processor(&events, |attribution| {
-            if failure.is_some() {
-                return;
-            }
-            if let Err(e) = scatter_windowed(&mut builders, width, proc, attribution) {
-                failure = Some(e.into());
-            }
-        });
-    }
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    builders
-        .into_iter()
-        .map(|(mb, cb)| {
-            Ok(ReducedTrace {
-                measurements: mb.build()?,
-                counts: cb.build(),
-            })
-        })
-        .collect()
+    let scan = scan(trace);
+    let mut fold = WindowSink::new(windows, scan.makespan, scan.activities)?;
+    drive(trace, &mut fold)?;
+    Ok(fold.into_windows().expect("a finished fold has a result"))
 }
 
 /// Scatters one attribution over the window builders: intervals split
 /// proportionally across every window they overlap, counts land in the
-/// window of their timestamp. Shared verbatim by [`reduce_windows`] and
-/// the streaming window fold ([`crate::stream`]), so the two paths
-/// perform the identical floating-point splits in the identical order.
+/// window of their timestamp: the arithmetic of the window fold
+/// ([`WindowSink`](crate::WindowSink)).
 pub(crate) fn scatter_windowed(
     builders: &mut [(MeasurementsBuilder, CountMatrixBuilder)],
     width: f64,
@@ -469,28 +350,6 @@ mod tests {
         let m = &red.measurements;
         assert!(m.activities().contains(ActivityKind::Io));
         assert!((m.time(r, ActivityKind::Io, ProcessorId::new(0)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn well_formed_fast_path_matches_checked_reduction() {
-        let mut b = TraceBuilder::new(2);
-        let r = b.add_region("r");
-        for p in 0..2u32 {
-            b.push(Event::enter(0.0, p, r));
-            b.push(Event::begin_activity(1.0, p, ActivityKind::PointToPoint));
-            b.push(Event::end_activity(
-                1.5 + p as f64,
-                p,
-                ActivityKind::PointToPoint,
-            ));
-            b.push(Event::message_send(1.2, p, 1 - p, 64));
-            b.push(Event::leave(3.0 + p as f64, p, r));
-        }
-        let trace = b.build();
-        let checked = reduce(&trace).unwrap();
-        let fast = reduce_well_formed(&trace).unwrap();
-        assert_eq!(checked.measurements, fast.measurements);
-        assert_eq!(checked.counts, fast.counts);
     }
 
     #[test]

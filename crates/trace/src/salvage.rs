@@ -15,10 +15,11 @@
 //! flag the ranks whose measurements are incomplete instead of silently
 //! comparing full columns against truncated ones.
 
-use limba_model::{ActivityKind, CountMatrixBuilder, MeasurementsBuilder, RegionId};
+use limba_model::ActivityKind;
 
-use crate::reduce::{trace_activities, Attribution, ReducedTrace};
-use crate::{Event, EventPayload, Trace, TraceError};
+use crate::reduce::{Attribution, ReducedTrace};
+use crate::stream::{drive, scan};
+use crate::{Event, EventPayload, SalvageSink, Trace, TraceError};
 
 /// How much of one processor's stream survived into the reduction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +69,9 @@ impl SalvagedTrace {
 }
 
 /// Reduces a possibly-truncated trace, salvaging what validates as a
-/// well-formed prefix and annotating every rank with its coverage.
+/// well-formed prefix and annotating every rank with its coverage: a
+/// [`ScanSink`](crate::ScanSink) pass, then one pass into a
+/// [`SalvageSink`](crate::SalvageSink) — the fold the streamed paths run.
 ///
 /// Truncation damage — regions or activities still open when a rank's
 /// stream ends — is repaired by attributing the open spans up to the
@@ -79,123 +82,25 @@ impl SalvagedTrace {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::MalformedEvent`] — naming the offending event's
-/// recording-order index and processor — for damage no truncation can
-/// explain: out-of-range processor or region indices, region leaves that
-/// do not match the innermost open region, activity begins outside any
-/// region or inside another activity, and activity ends that never
-/// began. Model errors surface as [`TraceError::Model`].
+/// The first damage in recording order that no truncation can explain:
+/// [`TraceError::NonMonotoneTime`] when a rank's clock goes backwards,
+/// and otherwise [`TraceError::MalformedEvent`] — naming the offending
+/// event's recording-order index and processor — for out-of-range
+/// processor or region indices, region leaves that do not match the
+/// innermost open region, activity begins outside any region or inside
+/// another activity, and activity ends that never began. Processor
+/// counts over the supported maximum are a malformed-trace error, and
+/// model errors surface as [`TraceError::Model`].
 pub fn reduce_checked(trace: &Trace) -> Result<SalvagedTrace, TraceError> {
-    // Defense in depth behind the decoders' header caps: the
-    // per-processor tables below are sized from `trace.processors()`, a
-    // declared count with no per-entry bytes behind it, so never let an
-    // unbounded value through even if a new ingestion path forgets the
-    // check.
-    if trace.processors() > crate::binary::MAX_PROCESSORS {
-        return Err(TraceError::Malformed {
-            detail: format!(
-                "processor count {} exceeds the supported maximum {}",
-                trace.processors(),
-                crate::binary::MAX_PROCESSORS
-            ),
-        });
-    }
-    // Partition per processor, carrying recording-order indices so
-    // errors can name the offending event. Mirrors
-    // `Trace::events_partitioned` (stable time sort) but reports
-    // out-of-range processors instead of dropping them.
-    let mut parts: Vec<Vec<(usize, Event)>> = vec![Vec::new(); trace.processors()];
-    for (index, e) in trace.events().iter().enumerate() {
-        match parts.get_mut(e.proc as usize) {
-            Some(bucket) => bucket.push((index, *e)),
-            None => {
-                return Err(TraceError::MalformedEvent {
-                    proc: e.proc,
-                    index,
-                    detail: format!(
-                        "references processor {}, trace has {}",
-                        e.proc,
-                        trace.processors()
-                    ),
-                })
-            }
-        }
-    }
-    for bucket in &mut parts {
-        bucket.sort_by(|a, b| a.1.time.total_cmp(&b.1.time));
-    }
-
-    let mut mb = MeasurementsBuilder::with_activities(trace.processors(), trace_activities(trace));
-    for name in trace.region_names() {
-        mb.add_region(name.clone());
-    }
-    let mut cb = CountMatrixBuilder::new(trace.processors());
-    let mut coverage = Vec::with_capacity(trace.processors());
-    for (proc, events) in (0u32..).zip(&parts) {
-        let mut failure: Option<TraceError> = None;
-        let cov = walk_salvage(proc, events, trace.region_names().len(), |attribution| {
-            if failure.is_some() {
-                return;
-            }
-            let result = match attribution {
-                Attribution::Interval {
-                    region,
-                    kind,
-                    start,
-                    end,
-                } => mb.record(RegionId::new(region), kind, proc as usize, end - start),
-                Attribution::Count {
-                    region,
-                    kind,
-                    amount,
-                    ..
-                } => cb
-                    .record(RegionId::new(region), kind, proc as usize, amount)
-                    .and(Ok(())),
-            };
-            if let Err(e) = result {
-                failure = Some(e.into());
-            }
-        })?;
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        coverage.push(cov);
-    }
-    Ok(SalvagedTrace {
-        reduced: ReducedTrace {
-            measurements: mb.build()?,
-            counts: cb.build(),
-        },
-        coverage,
-    })
+    let mut fold = SalvageSink::new(scan(trace).activities);
+    drive(trace, &mut fold)?;
+    Ok(fold.into_salvaged().expect("a finished fold has a result"))
 }
 
-/// The lenient counterpart of `reduce`'s per-processor walk: identical
-/// attribution on well-formed streams, structured errors where the
-/// strict walk would have been shielded by validation, and synthesized
-/// closings (at the last recorded timestamp) where the stream is merely
-/// truncated.
-fn walk_salvage<F: FnMut(Attribution)>(
-    proc: u32,
-    events: &[(usize, Event)],
-    regions: usize,
-    mut sink: F,
-) -> Result<RankCoverage, TraceError> {
-    let mut walker = SalvageWalker::new(proc, regions);
-    for &(index, e) in events {
-        walker.step(index, &e, &mut sink)?;
-    }
-    Ok(walker.finish(&mut sink))
-}
-
-/// The incremental state machine behind [`reduce_checked`]'s per-rank
-/// walk: one event at a time via [`SalvageWalker::step`], truncation
-/// repair and the coverage record on [`SalvageWalker::finish`]. The
-/// batch salvage path drives it over a materialized, per-rank-sorted
-/// slice; the streaming salvage fold ([`crate::stream`]) drives one
-/// walker per rank as frames arrive — the same code attributes in both,
-/// so their outputs are identical by construction, not merely by test.
+/// The incremental per-rank state machine of the salvage fold behind
+/// [`reduce_checked`]: one event at a time via [`SalvageWalker::step`],
+/// truncation repair and the coverage record on
+/// [`SalvageWalker::finish`].
 ///
 /// Public so external incremental consumers — e.g. `limba-serve`'s
 /// online window detector — fold the *same* [`Attribution`]s the
@@ -574,8 +479,8 @@ mod tests {
     #[test]
     fn activity_outliving_its_region_reduces_without_panic() {
         // Passes validate() (leave does not check activities) but the
-        // strict walk used to panic on the end event's empty stack; the
-        // salvage walk attributes the span to the begin-time region.
+        // strict walk used to panic on the end event's empty stack; every
+        // walk attributes the span to the begin-time region.
         let mut b = TraceBuilder::new(1);
         let r = b.add_region("r");
         b.push(Event::enter(0.0, 0, r));
@@ -588,5 +493,17 @@ mod tests {
         assert!(salvaged.is_complete());
         let m = &salvaged.reduced.measurements;
         assert!((m.time(r, ActivityKind::PointToPoint, ProcessorId::new(0)) - 2.0).abs() < 1e-12);
+        // The strict reductions attribute it identically.
+        let strict = reduce(&trace).unwrap();
+        assert_eq!(strict.measurements, salvaged.reduced.measurements);
+        let windows = crate::reduce_windows(&trace, 2).unwrap();
+        let p2p: Vec<f64> = windows
+            .iter()
+            .map(|w| {
+                w.measurements
+                    .time(r, ActivityKind::PointToPoint, ProcessorId::new(0))
+            })
+            .collect();
+        assert_eq!(p2p, vec![0.5, 1.5]);
     }
 }

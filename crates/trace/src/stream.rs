@@ -1,72 +1,60 @@
-//! Streaming trace dataflow: frame-at-a-time encoding, decoding, and
-//! reduction, so no pipeline stage ever holds a whole trace.
-//!
-//! The materialized pipeline (simulate → [`Trace`] → [`binary`] file →
-//! [`reduce`](crate::reduce)) builds each stage's full output before
-//! the next starts — the memory wall at 100k+ ranks. This module is the
-//! streaming counterpart, built from three pieces:
+//! The trace dataflow: frame-at-a-time encoding and decoding, and the
+//! folds that do every reduction, so no stage needs a whole trace.
 //!
 //! * [`TraceSink`] — the producer/consumer contract: a trace flows
 //!   through `begin → events* → finish`, with events delivered in
 //!   recording order in arbitrarily sized batches. The simulator's
-//!   engines can record straight into any sink instead of a
-//!   [`TraceBuilder`].
+//!   engines record straight into any sink, and [`StreamDecoder`]
+//!   replays bytes into one.
 //! * [`StreamEncoder`] / [`StreamDecoder`] — the chunked binary
-//!   container (format version 3): the same per-event wire records as
-//!   the materialized format, framed into self-delimiting chunks so a
-//!   writer can emit as rounds retire and a reader can fold from
-//!   arbitrarily split byte frames. The decoder also accepts
-//!   materialized version 1–2 files, and [`binary::from_bytes`] accepts
-//!   version 3 by delegating here — the two formats are mutually
-//!   readable.
+//!   container, format version 3 and the only one written: event
+//!   records framed into self-delimiting chunks, so a writer can emit
+//!   as rounds retire and a reader can fold from arbitrarily split byte
+//!   frames. The decoder is the one binary reader; it also reads the
+//!   legacy versions 1–2, which nothing writes any more.
 //! * the folds — [`ScanSink`], [`ReduceSink`], [`WindowSink`],
 //!   [`SalvageSink`], [`MaterializeSink`], [`TeeSink`] — sinks that
 //!   consume an event stream into a makespan/activity scan, a full or
 //!   windowed reduction, a salvaged reduction with per-rank coverage,
 //!   or a materialized [`Trace`].
 //!
-//! # Identity with the materialized path
+//! # One fold per reduction
 //!
-//! The folds do not reimplement attribution: they drive the *same*
-//! per-rank state machines (`ProcWalker`, `SalvageWalker`) and the same
-//! window-scatter arithmetic as [`reduce`](crate::reduce()) /
-//! [`reduce_windows`](crate::reduce_windows) /
-//! [`reduce_checked`](crate::reduce_checked), stepping them as events
-//! arrive instead of over materialized slices. Because every matrix
-//! cell `(region, activity, processor)` is written by exactly one
-//! rank's walker, and each rank's events reach its walker in the same
-//! order on both paths, the per-cell floating-point accumulation
-//! sequences — and therefore the results — are bit-identical. The
-//! differential harness (`tests/stream_equivalence.rs`) locks this
-//! empirically across workloads × faults × balance × frame sizes.
+//! Each reduction is implemented once, as a fold, and two kinds of
+//! caller feed the folds: the batch API ([`reduce`](crate::reduce()),
+//! [`reduce_windows`](crate::reduce_windows),
+//! [`reduce_checked`](crate::reduce_checked)) pushes an in-memory
+//! [`Trace`] through a [`ScanSink`] and then through its fold in one
+//! batch, and the streamed paths (`analyze --from-stream`, serve's
+//! spool replay, `simulate --stream-reduce`) push decoded frames
+//! through the same folds. Every matrix cell `(region, activity,
+//! processor)` is written by exactly one rank's walker, which sees that
+//! rank's events in the same order whatever the batching, so both
+//! produce bit-identical results.
 //!
-//! One prerequisite the materialized path does not have: streaming
-//! folds cannot sort, so each rank's events must already be
-//! time-ordered in recording order. Every writer in this repository
-//! (both simulator engines, the codecs) preserves that; a stream that
-//! violates it fails with a named [`TraceError::NonMonotoneTime`]
-//! instead of being silently misattributed.
+//! The folds cannot sort, so each rank's events must arrive in time
+//! order (the trace input contract; only the text reader sorts, on
+//! load). A stream that violates it fails with a named
+//! [`TraceError::NonMonotoneTime`] instead of being silently
+//! misattributed.
 //!
 //! # Bounded memory
 //!
-//! The decoder stages only the bytes of one incomplete record (plus
-//! whatever the caller feeds per call); the folds hold O(regions ×
-//! activities × processors) of matrix state (per window, for
-//! [`WindowSink`]) and O(1) walker state per rank. Nothing grows with
-//! the event count.
-//!
-//! [`binary`]: crate::binary
-//! [`binary::from_bytes`]: crate::binary::from_bytes
+//! The decoder parses records in place from each chunk it is fed and
+//! stages only the bytes of one incomplete item between chunks; the
+//! folds hold O(regions × activities × processors) of matrix state (per
+//! window, for [`WindowSink`]) and O(1) walker state per rank. Nothing
+//! grows with the event count.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
 use limba_model::{
-    ActivityKind, ActivitySet, CountMatrixBuilder, MeasurementsBuilder, RegionId,
+    ActivityKind, ActivitySet, CountMatrixBuilder, MeasurementsBuilder, ModelError, RegionId,
     STANDARD_ACTIVITIES,
 };
 
 use crate::binary::{put_event, try_event, Fnv, MAX_PROCESSORS};
-use crate::reduce::{note_activity, scatter_windowed, Attribution, ProcWalker, ReducedTrace};
+use crate::reduce::{scatter_windowed, Attribution, ProcWalker, ReducedTrace};
 use crate::salvage::{SalvageWalker, SalvagedTrace};
 use crate::{Event, EventPayload, Trace, TraceBuilder, TraceError};
 
@@ -79,9 +67,9 @@ const CHUNK_EVENTS: u8 = 0;
 /// Chunk tag: end of stream (`u64` total events, `u64` FNV-1a checksum
 /// of every preceding byte).
 const CHUNK_END: u8 = 1;
-/// Largest region count a streamed header may declare. The
-/// materialized decoder bounds counts against the bytes remaining in
-/// the buffer; a stream has no "remaining", so a fixed cap stands in.
+/// Largest region count a header may declare: a stream has no
+/// "remaining bytes" to bound the count against, so a fixed cap
+/// stands in.
 const MAX_REGIONS: usize = 1 << 20;
 /// Largest single region-name length (bytes) a streamed header may
 /// declare — bounds the decoder's staging buffer.
@@ -89,6 +77,9 @@ const MAX_REGION_NAME: usize = 1 << 20;
 /// Decoded events are handed to the sink in batches of at most this
 /// many, bounding the decoder's pending-event buffer.
 const DECODE_BATCH: usize = 4096;
+/// Bytes moved from a new chunk onto a staged incomplete item per
+/// attempt to complete it; the bytes the item did not need go back.
+const STAGE_GROW: usize = 64;
 
 fn malformed(detail: impl Into<String>) -> TraceError {
     TraceError::Malformed {
@@ -134,19 +125,32 @@ pub trait TraceSink {
 }
 
 /// A [`TraceSink`] that materializes the stream into an ordinary
-/// [`Trace`] — the bridge back to the batch pipeline, and the witness
-/// that a streamed trace carries exactly the information a materialized
-/// one does.
+/// [`Trace`] — what [`binary::from_bytes`] decodes into, and the
+/// witness that a streamed trace carries exactly the information a
+/// materialized one does.
+///
+/// [`binary::from_bytes`]: crate::binary::from_bytes
 #[derive(Debug, Default)]
 pub struct MaterializeSink {
     builder: Option<TraceBuilder>,
     trace: Option<Trace>,
+    /// Events to reserve room for on `begin`.
+    reserve: usize,
 }
 
 impl MaterializeSink {
     /// Creates an empty sink.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A sink that reserves room for `events` events up front, so a
+    /// decode of known size grows its event vector once.
+    pub(crate) fn reserving(events: usize) -> Self {
+        MaterializeSink {
+            reserve: events,
+            ..Self::default()
+        }
     }
 
     /// The materialized trace, once [`TraceSink::finish`] has run.
@@ -161,6 +165,7 @@ impl TraceSink for MaterializeSink {
         for name in region_names {
             builder.add_region(name.clone());
         }
+        builder.reserve_events(self.reserve);
         self.builder = Some(builder);
         Ok(())
     }
@@ -285,9 +290,9 @@ impl<W: std::io::Write> TraceSink for WriteSink<W> {
 // Encoder
 // ---------------------------------------------------------------------
 
-/// Encodes a trace stream into the chunked version-3 container, one
-/// self-delimiting byte frame per call:
-/// [`header`](StreamEncoder::header), then any number of
+/// Encodes a trace stream into the chunked version-3 container — the
+/// only container this crate writes — one self-delimiting byte frame
+/// per call: [`header`](StreamEncoder::header), then any number of
 /// [`frame`](StreamEncoder::frame)s, then
 /// [`finish`](StreamEncoder::finish) (which seals the stream with the
 /// running event total and FNV-1a checksum). Concatenating the returned
@@ -311,6 +316,31 @@ pub struct StreamEncoder {
     events: u64,
 }
 
+/// Rejects processor counts and region tables the decoder refuses.
+fn check_header(processors: usize, region_names: &[String]) -> Result<(), TraceError> {
+    if processors > MAX_PROCESSORS {
+        return Err(malformed(format!(
+            "processor count {processors} exceeds the supported maximum {MAX_PROCESSORS}"
+        )));
+    }
+    if region_names.len() > MAX_REGIONS {
+        return Err(malformed(format!(
+            "region count {} exceeds the streamed maximum {MAX_REGIONS}",
+            region_names.len()
+        )));
+    }
+    match region_names
+        .iter()
+        .find(|name| name.len() > MAX_REGION_NAME)
+    {
+        Some(name) => Err(malformed(format!(
+            "region name of {} bytes exceeds the streamed maximum {MAX_REGION_NAME}",
+            name.len()
+        ))),
+        None => Ok(()),
+    }
+}
+
 impl StreamEncoder {
     /// Creates an encoder for one stream.
     pub fn new() -> Self {
@@ -331,54 +361,17 @@ impl StreamEncoder {
         processors: usize,
         region_names: &[String],
     ) -> Result<Bytes, TraceError> {
-        if processors > MAX_PROCESSORS {
-            return Err(malformed(format!(
-                "processor count {processors} exceeds the supported maximum {MAX_PROCESSORS}"
-            )));
-        }
-        if region_names.len() > MAX_REGIONS {
-            return Err(malformed(format!(
-                "region count {} exceeds the streamed maximum {MAX_REGIONS}",
-                region_names.len()
-            )));
-        }
+        check_header(processors, region_names)?;
         let mut buf = BytesMut::with_capacity(64);
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(STREAM_VERSION);
-        buf.put_u32_le(processors as u32);
-        buf.put_u32_le(region_names.len() as u32);
-        for name in region_names {
-            if name.len() > MAX_REGION_NAME {
-                return Err(malformed(format!(
-                    "region name of {} bytes exceeds the streamed maximum {MAX_REGION_NAME}",
-                    name.len()
-                )));
-            }
-            buf.put_u32_le(name.len() as u32);
-            buf.put_slice(name.as_bytes());
-        }
-        self.hash.update(buf.as_ref());
+        self.put_header(&mut buf, processors, region_names);
         Ok(buf.freeze())
     }
 
     /// Encodes one batch of events as an event chunk. An empty batch
     /// encodes to an empty frame (nothing need be sent).
     pub fn frame(&mut self, events: &[Event]) -> Bytes {
-        if events.is_empty() {
-            return Bytes::from(Vec::new());
-        }
         let mut buf = BytesMut::with_capacity(5 + events.len() * 25);
-        // A u32 count caps one chunk at 4Gi events; longer batches
-        // split into consecutive chunks, which decode identically.
-        for chunk in events.chunks(u32::MAX as usize) {
-            buf.put_u8(CHUNK_EVENTS);
-            buf.put_u32_le(chunk.len() as u32);
-            for e in chunk {
-                put_event(&mut buf, e);
-            }
-            self.events += chunk.len() as u64;
-        }
-        self.hash.update(buf.as_ref());
+        self.put_frame(&mut buf, events);
         buf.freeze()
     }
 
@@ -386,11 +379,47 @@ impl StreamEncoder {
     /// content checksum.
     pub fn finish(&mut self) -> Bytes {
         let mut buf = BytesMut::with_capacity(17);
+        self.put_end(&mut buf);
+        buf.freeze()
+    }
+
+    /// Appends the header to `buf` (unchecked; see [`check_header`]).
+    fn put_header(&mut self, buf: &mut BytesMut, processors: usize, region_names: &[String]) {
+        let start = buf.len();
+        buf.put_slice(MAGIC);
+        buf.put_u16_le(STREAM_VERSION);
+        buf.put_u32_le(processors as u32);
+        buf.put_u32_le(region_names.len() as u32);
+        for name in region_names {
+            buf.put_u32_le(name.len() as u32);
+            buf.put_slice(name.as_bytes());
+        }
+        self.hash.update(&buf.as_ref()[start..]);
+    }
+
+    /// Appends `events` to `buf` as event chunks (none for no events).
+    fn put_frame(&mut self, buf: &mut BytesMut, events: &[Event]) {
+        let start = buf.len();
+        // A u32 count caps one chunk at 4Gi events; longer batches
+        // split into consecutive chunks, which decode identically.
+        for chunk in events.chunks(u32::MAX as usize) {
+            buf.put_u8(CHUNK_EVENTS);
+            buf.put_u32_le(chunk.len() as u32);
+            for e in chunk {
+                put_event(buf, e);
+            }
+            self.events += chunk.len() as u64;
+        }
+        self.hash.update(&buf.as_ref()[start..]);
+    }
+
+    /// Appends the end chunk to `buf`.
+    fn put_end(&mut self, buf: &mut BytesMut) {
+        let start = buf.len();
         buf.put_u8(CHUNK_END);
         buf.put_u64_le(self.events);
-        self.hash.update(buf.as_ref());
+        self.hash.update(&buf.as_ref()[start..]);
         buf.put_u64_le(self.hash.digest());
-        buf.freeze()
     }
 }
 
@@ -398,6 +427,20 @@ impl Default for StreamEncoder {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Encodes a whole trace into one v3 buffer, one event chunk per
+/// `frame_events` events, without the header caps check: a trace over
+/// the caps encodes, but no reader accepts it.
+pub(crate) fn encode(trace: &Trace, frame_events: usize) -> Bytes {
+    let mut enc = StreamEncoder::new();
+    let mut out = BytesMut::with_capacity(64 + trace.events().len() * 25);
+    enc.put_header(&mut out, trace.processors(), trace.region_names());
+    for batch in trace.events().chunks(frame_events.max(1)) {
+        enc.put_frame(&mut out, batch);
+    }
+    enc.put_end(&mut out);
+    out.freeze()
 }
 
 // ---------------------------------------------------------------------
@@ -410,9 +453,9 @@ enum DecodeState {
     Prelude,
     /// Region table entries still expected.
     Regions { left: usize },
-    /// Materialized formats (v1–2): the u64 event count.
+    /// Legacy formats (v1–2): the u64 event count.
     EventCount,
-    /// Materialized formats: events until the declared count is met.
+    /// Legacy formats: events until the declared count is met.
     Events,
     /// Version 2 only: the trailing 8-byte checksum.
     Checksum,
@@ -449,20 +492,25 @@ impl DecodeState {
 /// Incremental push-based trace decoder: feed it byte chunks split at
 /// *any* boundary — frame-aligned, mid-record, even one byte at a time
 /// — and it replays the trace into a [`TraceSink`], verifying structure
-/// and content checksum as it goes. Reads the streamed version-3
-/// container and materialized version 1–2 files alike.
+/// and content checksum as it goes. Reads the chunked version-3
+/// container and the read-only legacy versions 1–2 alike; it is the
+/// only binary reader ([`binary::from_bytes`] drives it too).
 ///
-/// Memory: the decoder stages only the bytes of one incomplete item
-/// (record, region name, or header field) between calls, plus a
+/// Memory: records are parsed straight from the caller's chunk; only
+/// the bytes of one incomplete item (record, region name, or header
+/// field) at a chunk's end are staged until the next call, plus a
 /// bounded pending-event batch — never the whole trace.
 ///
 /// A truncated stream surfaces as a named [`TraceError::Malformed`]
 /// from [`StreamDecoder::finish`] saying what was being read; corrupted
 /// bytes surface from [`StreamDecoder::feed`] as the earliest of a
 /// structural error or a [`TraceError::ChecksumMismatch`]. (The
-/// materialized decoder, holding the whole file, verifies the checksum
-/// *before* structure; a stream cannot, so mid-stream corruption may
-/// report structurally here. Valid input decodes identically on both.)
+/// whole-buffer reader reports damage as a checksum mismatch as if it
+/// had verified the checksum *before* structure; a stream cannot, so
+/// mid-stream corruption may report structurally here. Valid input
+/// decodes identically on both.)
+///
+/// [`binary::from_bytes`]: crate::binary::from_bytes
 pub struct StreamDecoder {
     state: DecodeState,
     version: u16,
@@ -471,14 +519,13 @@ pub struct StreamDecoder {
     /// Declared region count, kept after `region_names` is handed to
     /// the sink: record validation needs it for the whole stream.
     nregions: usize,
-    /// Declared event count (materialized formats only).
+    /// Declared event count (versions 1–2 only).
     expect_events: u64,
     /// Events decoded so far.
     seen_events: u64,
     hash: Fnv,
-    /// Staged input: `buf[pos..]` is unconsumed.
-    buf: Vec<u8>,
-    pos: usize,
+    /// The incomplete item the last feed ended in; empty between items.
+    staged: Vec<u8>,
     /// Decoded events awaiting delivery to the sink.
     pending: Vec<Event>,
     /// Set once any error has been returned; the decoder is poisoned.
@@ -502,8 +549,7 @@ impl StreamDecoder {
             expect_events: 0,
             seen_events: 0,
             hash: Fnv::new(),
-            buf: Vec::new(),
-            pos: 0,
+            staged: Vec::new(),
             pending: Vec::new(),
             failed: false,
             consumed: 0,
@@ -523,7 +569,7 @@ impl StreamDecoder {
 
     /// The byte offset of the last **sealed** boundary: the end of the
     /// header or of a fully-consumed chunk (v3), the end of an event
-    /// record (materialized v1–2), or the end of a verified stream.
+    /// record (legacy v1–2), or the end of a verified stream.
     /// A file truncated at this offset decodes without error and a
     /// resumed producer may append from exactly here — it is where the
     /// startup recovery scrub cuts a torn spool tail back to.
@@ -601,36 +647,48 @@ impl StreamDecoder {
     }
 
     fn feed_inner(&mut self, chunk: &[u8], sink: &mut dyn TraceSink) -> Result<(), TraceError> {
-        if self.state == DecodeState::Done {
-            if chunk.is_empty() {
-                return Ok(());
+        let mut input = chunk;
+        // Complete the item the last feed ended in: grow the staged
+        // bytes until a step consumes them, then return the appended
+        // bytes that step did not use to the input. A step that needed
+        // more than `held` bytes before needs more than `held` now.
+        while !self.staged.is_empty() && !input.is_empty() {
+            let held = self.staged.len();
+            let grow = input.len().min(STAGE_GROW);
+            self.staged.extend_from_slice(&input[..grow]);
+            let staged = std::mem::take(&mut self.staged);
+            let used = self.step(&staged, sink);
+            self.staged = staged;
+            match used? {
+                0 => input = &input[grow..],
+                used => {
+                    input = &input[used - held..];
+                    self.staged.clear();
+                }
             }
-            return Err(malformed(format!(
-                "{} bytes after end of stream",
-                chunk.len()
-            )));
         }
-        self.buf.extend_from_slice(chunk);
-        loop {
-            let made_progress = self.step(sink)?;
-            if self.pending.len() >= DECODE_BATCH {
-                self.flush_pending(sink)?;
-            }
-            if !made_progress {
-                break;
+        let mut pos = 0;
+        if self.staged.is_empty() {
+            loop {
+                let used = self.step(&input[pos..], sink)?;
+                if self.pending.len() >= DECODE_BATCH {
+                    self.flush_pending(sink)?;
+                }
+                if used == 0 {
+                    break;
+                }
+                pos += used;
             }
         }
         self.flush_pending(sink)?;
-        if self.state == DecodeState::Done && self.pos < self.buf.len() {
+        let rest = &input[pos..];
+        if self.state == DecodeState::Done && !rest.is_empty() {
             return Err(malformed(format!(
                 "{} bytes after end of stream",
-                self.buf.len() - self.pos
+                rest.len()
             )));
         }
-        // Compact: drop the consumed prefix so the staging buffer holds
-        // only the incomplete tail between calls.
-        self.buf.drain(..self.pos);
-        self.pos = 0;
+        self.staged.extend_from_slice(rest);
         Ok(())
     }
 
@@ -642,29 +700,49 @@ impl StreamDecoder {
         Ok(())
     }
 
-    fn avail(&self) -> &[u8] {
-        &self.buf[self.pos..]
-    }
-
-    /// Consumes `n` bytes (caller has checked availability), folding
-    /// them into the running checksum unless `hashed` is false (the
-    /// checksum field itself is excluded from its own hash).
-    fn consume(&mut self, n: usize, hashed: bool) {
+    /// Consumes the first `n` bytes of `a` (caller has checked
+    /// availability), folding them into the running checksum unless
+    /// `hashed` is false (the checksum field itself is excluded from
+    /// its own hash). Returns `n`.
+    fn take(&mut self, a: &[u8], n: usize, hashed: bool) -> usize {
         if hashed {
-            self.hash.update(&self.buf[self.pos..self.pos + n]);
+            self.hash.update(&a[..n]);
         }
-        self.pos += n;
         self.consumed += n as u64;
+        n
     }
 
-    /// Attempts one parsing step; `Ok(false)` means more input is
-    /// needed before anything further can be consumed.
-    fn step(&mut self, sink: &mut dyn TraceSink) -> Result<bool, TraceError> {
+    /// Compares a recorded checksum with the running hash.
+    fn verify(&self, expected: u64) -> Result<(), TraceError> {
+        let actual = self.hash.digest();
+        if expected != actual {
+            return Err(TraceError::ChecksumMismatch { expected, actual });
+        }
+        Ok(())
+    }
+
+    /// Decodes one record from the front of `a` into the pending batch,
+    /// returning its length (0 when incomplete).
+    fn record(&mut self, a: &[u8]) -> Result<usize, TraceError> {
+        let Some((event, len)) = try_event(a)? else {
+            return Ok(0);
+        };
+        self.check_event(&event)?;
+        self.pending.push(event);
+        self.seen_events += 1;
+        Ok(self.take(a, len, true))
+    }
+
+    /// Attempts one parsing step over the front of `a`, returning the
+    /// bytes it consumed; 0 means more input is needed before anything
+    /// further can be consumed.
+    fn step(&mut self, a: &[u8], sink: &mut dyn TraceSink) -> Result<usize, TraceError> {
+        let u32_at = |at: usize| u32::from_le_bytes(a[at..at + 4].try_into().expect("4 bytes"));
+        let u64_at = |at: usize| u64::from_le_bytes(a[at..at + 8].try_into().expect("8 bytes"));
         match self.state {
             DecodeState::Prelude => {
-                let a = self.avail();
                 if a.len() < 18 {
-                    return Ok(false);
+                    return Ok(0);
                 }
                 if &a[..8] != MAGIC {
                     return Err(malformed("bad magic"));
@@ -675,16 +753,14 @@ impl StreamDecoder {
                         "unsupported version {version} (this build reads 1..={STREAM_VERSION})"
                     )));
                 }
-                let processors =
-                    u32::from_le_bytes(a[10..14].try_into().expect("4-byte procs")) as usize;
+                let processors = u32_at(10) as usize;
                 if processors > MAX_PROCESSORS {
                     return Err(malformed(format!(
                         "processor count {processors} exceeds the supported maximum \
                          {MAX_PROCESSORS}"
                     )));
                 }
-                let nregions =
-                    u32::from_le_bytes(a[14..18].try_into().expect("4-byte nregions")) as usize;
+                let nregions = u32_at(14) as usize;
                 if nregions > MAX_REGIONS {
                     return Err(malformed(format!(
                         "region count {nregions} exceeds the streamed maximum {MAX_REGIONS}"
@@ -693,17 +769,15 @@ impl StreamDecoder {
                 self.version = version;
                 self.processors = processors;
                 self.region_names.reserve(nregions.min(1024));
-                self.consume(18, true);
+                let used = self.take(a, 18, true);
                 self.advance_regions(nregions, sink)?;
-                Ok(true)
+                Ok(used)
             }
             DecodeState::Regions { left } => {
-                let a = self.avail();
                 if a.len() < 4 {
-                    return Ok(false);
+                    return Ok(0);
                 }
-                let len =
-                    u32::from_le_bytes(a[..4].try_into().expect("4-byte name length")) as usize;
+                let len = u32_at(0) as usize;
                 if len > MAX_REGION_NAME {
                     return Err(malformed(format!(
                         "region name of {len} bytes exceeds the streamed maximum \
@@ -711,139 +785,109 @@ impl StreamDecoder {
                     )));
                 }
                 if a.len() < 4 + len {
-                    return Ok(false);
+                    return Ok(0);
                 }
                 let name = String::from_utf8(a[4..4 + len].to_vec())
                     .map_err(|e| malformed(format!("region name not utf-8: {e}")))?;
                 self.region_names.push(name);
-                self.consume(4 + len, true);
+                let used = self.take(a, 4 + len, true);
                 self.advance_regions(left - 1, sink)?;
-                Ok(true)
+                Ok(used)
             }
             DecodeState::EventCount => {
-                let a = self.avail();
                 if a.len() < 8 {
-                    return Ok(false);
+                    return Ok(0);
                 }
-                self.expect_events = u64::from_le_bytes(a[..8].try_into().expect("8-byte count"));
-                self.consume(8, true);
+                self.expect_events = u64_at(0);
+                let used = self.take(a, 8, true);
                 self.state = if self.expect_events == 0 {
                     self.after_events()
                 } else {
                     DecodeState::Events
                 };
                 self.seal();
-                Ok(true)
+                Ok(used)
             }
             DecodeState::Events => {
-                let Some((event, len)) = try_event(self.avail())? else {
-                    return Ok(false);
-                };
-                self.check_event(&event)?;
-                self.pending.push(event);
-                self.seen_events += 1;
-                self.consume(len, true);
-                if self.seen_events == self.expect_events {
-                    self.state = self.after_events();
+                let used = self.record(a)?;
+                if used > 0 {
+                    if self.seen_events == self.expect_events {
+                        self.state = self.after_events();
+                    }
+                    // Legacy formats have no chunk framing; every
+                    // record boundary is a valid resume point.
+                    self.seal();
                 }
-                // Materialized formats have no chunk framing; every
-                // record boundary is a valid resume point.
-                self.seal();
-                Ok(true)
+                Ok(used)
             }
             DecodeState::Checksum => {
-                let a = self.avail();
                 if a.len() < 8 {
-                    return Ok(false);
+                    return Ok(0);
                 }
-                let expected = u64::from_le_bytes(a[..8].try_into().expect("8-byte checksum"));
-                let actual = self.hash.digest();
-                if expected != actual {
-                    return Err(TraceError::ChecksumMismatch { expected, actual });
-                }
-                self.consume(8, false);
+                self.verify(u64_at(0))?;
+                let used = self.take(a, 8, false);
                 self.state = DecodeState::Done;
                 self.seal();
-                Ok(true)
+                Ok(used)
             }
             DecodeState::ChunkTag => {
-                let a = self.avail();
                 let Some(&tag) = a.first() else {
-                    return Ok(false);
+                    return Ok(0);
                 };
-                match tag {
-                    CHUNK_EVENTS => {
-                        self.consume(1, true);
-                        self.state = DecodeState::BatchCount;
-                    }
-                    CHUNK_END => {
-                        self.consume(1, true);
-                        self.state = DecodeState::Trailer;
-                    }
+                self.state = match tag {
+                    CHUNK_EVENTS => DecodeState::BatchCount,
+                    CHUNK_END => DecodeState::Trailer,
                     other => return Err(malformed(format!("unknown chunk tag {other}"))),
-                }
-                Ok(true)
+                };
+                Ok(self.take(a, 1, true))
             }
             DecodeState::BatchCount => {
-                let a = self.avail();
                 if a.len() < 4 {
-                    return Ok(false);
+                    return Ok(0);
                 }
-                let count = u32::from_le_bytes(a[..4].try_into().expect("4-byte batch count"));
-                self.consume(4, true);
-                self.state = if count == 0 {
-                    DecodeState::ChunkTag
-                } else {
-                    DecodeState::Batch { left: count }
-                };
+                let count = u32_at(0);
+                let used = self.take(a, 4, true);
                 if count == 0 {
+                    self.state = DecodeState::ChunkTag;
                     self.seal();
+                } else {
+                    self.state = DecodeState::Batch { left: count };
                 }
-                Ok(true)
+                Ok(used)
             }
             DecodeState::Batch { left } => {
-                let Some((event, len)) = try_event(self.avail())? else {
-                    return Ok(false);
-                };
-                self.check_event(&event)?;
-                self.pending.push(event);
-                self.seen_events += 1;
-                self.consume(len, true);
-                self.state = if left == 1 {
-                    DecodeState::ChunkTag
-                } else {
-                    DecodeState::Batch { left: left - 1 }
-                };
-                if left == 1 {
-                    // The chunk's last record: a sealed v3 boundary.
-                    self.seal();
+                let used = self.record(a)?;
+                if used > 0 {
+                    if left == 1 {
+                        // The chunk's last record: a sealed v3 boundary.
+                        self.state = DecodeState::ChunkTag;
+                        self.seal();
+                    } else {
+                        self.state = DecodeState::Batch { left: left - 1 };
+                    }
                 }
-                Ok(true)
+                Ok(used)
             }
             DecodeState::Trailer => {
-                let a = self.avail();
                 if a.len() < 16 {
-                    return Ok(false);
+                    return Ok(0);
                 }
-                let total = u64::from_le_bytes(a[..8].try_into().expect("8-byte total"));
+                let total = u64_at(0);
                 if total != self.seen_events {
                     return Err(malformed(format!(
                         "end chunk declares {total} events, stream carried {}",
                         self.seen_events
                     )));
                 }
-                let expected = u64::from_le_bytes(a[8..16].try_into().expect("8-byte checksum"));
-                self.consume(8, true); // the total precedes the checksum, so it is hashed
-                let actual = self.hash.digest();
-                if expected != actual {
-                    return Err(TraceError::ChecksumMismatch { expected, actual });
-                }
-                self.consume(8, false);
+                // The total precedes the checksum, so it is hashed.
+                self.take(a, 8, true);
+                self.verify(u64_at(8))?;
+                self.take(&a[8..], 8, false);
                 self.state = DecodeState::Done;
                 self.seal();
-                Ok(true)
+                Ok(16)
             }
-            DecodeState::Done => Ok(false),
+            DecodeState::Done => Ok(0),
         }
     }
 
@@ -868,8 +912,8 @@ impl StreamDecoder {
         Ok(())
     }
 
-    /// Where a materialized format goes once all declared events are
-    /// read: version 2 verifies its trailing checksum, version 1 ends.
+    /// Where a legacy format goes once all declared events are read:
+    /// version 2 verifies its trailing checksum, version 1 ends.
     fn after_events(&self) -> DecodeState {
         if self.version >= 2 {
             DecodeState::Checksum
@@ -897,33 +941,15 @@ pub fn decode_all(data: &[u8], sink: &mut dyn TraceSink) -> Result<(), TraceErro
     decoder.finish(sink)
 }
 
-/// Materializes a streamed (version-3) byte buffer into a [`Trace`] —
-/// the delegation target of [`binary::from_bytes`].
-///
-/// [`binary::from_bytes`]: crate::binary::from_bytes
-pub(crate) fn trace_from_stream_bytes(data: &[u8]) -> Result<Trace, TraceError> {
-    let mut sink = MaterializeSink::new();
-    decode_all(data, &mut sink)?;
-    sink.into_trace()
-        .ok_or_else(|| malformed("stream ended before finish"))
-}
-
-/// Encodes a materialized trace into the streamed container (one event
-/// chunk per `frame_events` events) — the round trip partner of
-/// [`decode_all`] and the reference writer for format tests.
+/// Encodes a trace into the streamed container (one event chunk per
+/// `frame_events` events) — the round trip partner of [`decode_all`].
 ///
 /// # Errors
 ///
 /// Same conditions as [`StreamEncoder::header`].
 pub fn to_stream_bytes(trace: &Trace, frame_events: usize) -> Result<Bytes, TraceError> {
-    let mut enc = StreamEncoder::new();
-    let mut out = BytesMut::with_capacity(64 + trace.events().len() * 25);
-    out.put_slice(&enc.header(trace.processors(), trace.region_names())?);
-    for batch in trace.events().chunks(frame_events.max(1)) {
-        out.put_slice(&enc.frame(batch));
-    }
-    out.put_slice(&enc.finish());
-    Ok(out.freeze())
+    check_header(trace.processors(), trace.region_names())?;
+    Ok(encode(trace, frame_events))
 }
 
 // ---------------------------------------------------------------------
@@ -932,19 +958,17 @@ pub fn to_stream_bytes(trace: &Trace, frame_events: usize) -> Result<Bytes, Trac
 
 /// What one O(1)-memory pass over a stream learns: everything the
 /// reducing folds need to be constructed — the run's makespan (window
-/// width) and its activity set (matrix columns), both of which the
-/// materialized path reads off the whole trace up front.
+/// width) and its activity set (matrix columns).
 ///
-/// Produced by [`ScanSink`]; the streaming pipeline's first pass. The
-/// simulator being deterministic (and a stored stream being static),
-/// the second pass sees the identical events.
+/// Produced by [`ScanSink`]; the pass before every reducing fold. The
+/// simulator being deterministic (and a stored stream or an in-memory
+/// trace being static), the second pass sees the identical events.
 #[derive(Debug, Clone)]
 pub struct StreamScan {
-    /// Largest event timestamp — identical to the materialized
-    /// makespan fold in [`reduce_windows`](crate::reduce_windows).
+    /// Largest event timestamp (and at least `0.0`).
     pub makespan: f64,
     /// The paper's standard four activities plus extras in
-    /// first-appearance order — identical to the materialized scan.
+    /// first-appearance order.
     pub activities: ActivitySet,
     /// Total events seen.
     pub events: u64,
@@ -1003,9 +1027,12 @@ impl TraceSink for ScanSink {
 
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
         for e in events {
-            // Same fold as the materialized makespan computation.
             self.makespan = f64::max(self.makespan, e.time);
-            note_activity(&mut self.kinds, e);
+            if let EventPayload::BeginActivity { kind } = e.payload {
+                if !self.kinds.contains(&kind) {
+                    self.kinds.push(kind);
+                }
+            }
         }
         self.events += events.len() as u64;
         Ok(())
@@ -1017,178 +1044,241 @@ impl TraceSink for ScanSink {
     }
 }
 
-/// Inline per-rank structural validation for the strict folds: the
-/// streaming counterpart of [`Trace::validate`]'s per-processor pass.
-/// The batch `reduce` and `reduce_windows` validate the whole trace
-/// before walking it; a stream cannot be pre-validated, so
-/// [`ReduceSink`] and [`WindowSink`] run these checks event by event
-/// and reject exactly the malformed streams the batch paths reject —
-/// a crash-truncated trace fails windowing identically on both paths.
+/// Pushes an in-memory trace through `sink` as one stream — `begin`,
+/// a single `events` batch, `finish`. This is how the batch API runs:
+/// [`reduce`](crate::reduce()), [`reduce_windows`](crate::reduce_windows)
+/// and [`reduce_checked`](crate::reduce_checked) are a [`scan`] and one
+/// `drive` into their fold.
+pub(crate) fn drive(trace: &Trace, sink: &mut dyn TraceSink) -> Result<(), TraceError> {
+    sink.begin(trace.processors(), trace.region_names())?;
+    sink.events(trace.events())?;
+    sink.finish()
+}
+
+/// The batch API's first pass: a [`ScanSink`] over the trace.
+pub(crate) fn scan(trace: &Trace) -> StreamScan {
+    let mut sink = ScanSink::new();
+    drive(trace, &mut sink).expect("the scan accepts every stream");
+    sink.into_scan().expect("a finished scan has a result")
+}
+
+/// The strict per-rank structural checks, event by event: processor
+/// and region indices in range, per-rank monotone clocks, balanced
+/// region nesting, and matched activity begin/end pairs. The one
+/// implementation of [`Trace::validate`], and the inline validation of
+/// [`ReduceSink`] and [`WindowSink`].
 ///
-/// Ordering caveat (the same one [`SalvageSink`] documents): the batch
-/// validator scans rank 0's whole stream before rank 1's, so when
-/// *several* ranks are malformed it reports the lowest-ranked
-/// violation; the streaming checker reports the first in recording
-/// order. Truncation — the violation that actually occurs — only
-/// manifests at end-of-stream, where `finish` checks in rank order and
-/// reports the identical error.
+/// Errors are reported in recording order: the first offending event
+/// names the error, and on that event a clock going backwards comes
+/// before any structural error (as in [`SalvageSink`]). At the end of
+/// the stream, [`RankChecks::finish`] reports still-open regions and
+/// activities (truncation) in rank order.
+pub(crate) struct RankChecks {
+    ranks: Vec<RankChecker>,
+    regions: usize,
+}
+
 struct RankChecker {
     stack: Vec<usize>,
     activity: Option<ActivityKind>,
     last_time: f64,
 }
 
-impl RankChecker {
-    fn new() -> Self {
-        RankChecker {
+impl RankChecks {
+    pub(crate) fn new(processors: usize, regions: usize) -> Self {
+        let rank = || RankChecker {
             stack: Vec::new(),
             activity: None,
             last_time: f64::NEG_INFINITY,
+        };
+        RankChecks {
+            ranks: std::iter::repeat_with(rank).take(processors).collect(),
+            regions,
         }
     }
 
-    /// Mirrors one iteration of [`Trace::validate`]'s per-event loop.
-    fn step(&mut self, proc: u32, e: &Event, regions: usize) -> Result<(), TraceError> {
-        match e.payload {
-            EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
-                if region >= regions =>
-            {
-                return Err(TraceError::UnknownRegion { region });
-            }
-            _ => {}
-        }
-        if e.time < self.last_time {
+    /// Checks the next event in recording order.
+    pub(crate) fn step(&mut self, e: &Event) -> Result<(), TraceError> {
+        let proc = e.proc;
+        let Some(rank) = self.ranks.get_mut(proc as usize) else {
+            return Err(TraceError::UnknownProcessor { proc });
+        };
+        let nesting = |detail: String| TraceError::UnbalancedNesting { proc, detail };
+        if e.time < rank.last_time {
             return Err(TraceError::NonMonotoneTime {
                 proc,
-                before: self.last_time,
+                before: rank.last_time,
                 after: e.time,
             });
         }
-        self.last_time = e.time;
+        rank.last_time = e.time;
         match e.payload {
-            EventPayload::EnterRegion { region } => self.stack.push(region),
-            EventPayload::LeaveRegion { region } => match self.stack.pop() {
+            EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
+                if region >= self.regions =>
+            {
+                return Err(TraceError::UnknownRegion { region });
+            }
+            EventPayload::EnterRegion { region } => rank.stack.push(region),
+            EventPayload::LeaveRegion { region } => match rank.stack.pop() {
                 Some(top) if top == region => {}
                 Some(top) => {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("left region {region} while inside {top}"),
-                    })
+                    return Err(nesting(format!("left region {region} while inside {top}")))
                 }
                 None => {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("left region {region} that was never entered"),
-                    })
+                    return Err(nesting(format!(
+                        "left region {region} that was never entered"
+                    )))
                 }
             },
             EventPayload::BeginActivity { kind } => {
-                if let Some(current) = self.activity {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("began {kind} while {current} still active"),
-                    });
+                if let Some(current) = rank.activity {
+                    return Err(nesting(format!(
+                        "began {kind} while {current} still active"
+                    )));
                 }
-                if self.stack.is_empty() {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("began {kind} outside any region"),
-                    });
+                if rank.stack.is_empty() {
+                    return Err(nesting(format!("began {kind} outside any region")));
                 }
-                self.activity = Some(kind);
+                rank.activity = Some(kind);
             }
-            EventPayload::EndActivity { kind } => match self.activity.take() {
+            EventPayload::EndActivity { kind } => match rank.activity.take() {
                 Some(current) if current == kind => {}
                 Some(current) => {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("ended {kind} while {current} active"),
-                    })
+                    return Err(nesting(format!("ended {kind} while {current} active")))
                 }
-                None => {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("ended {kind} that never began"),
-                    })
-                }
+                None => return Err(nesting(format!("ended {kind} that never began"))),
             },
             EventPayload::MessageSend { .. } | EventPayload::MessageRecv { .. } => {}
         }
         Ok(())
     }
 
-    /// Mirrors [`Trace::validate`]'s end-of-trace checks.
-    fn finish(&mut self, proc: u32) -> Result<(), TraceError> {
-        if let Some(kind) = self.activity {
-            return Err(TraceError::UnbalancedNesting {
-                proc,
-                detail: format!("activity {kind} still open at end of trace"),
-            });
-        }
-        if let Some(region) = self.stack.pop() {
-            return Err(TraceError::UnbalancedNesting {
-                proc,
-                detail: format!("region {region} still open at end of trace"),
-            });
+    /// Ends the stream: the first rank left with an open activity or
+    /// region fails.
+    pub(crate) fn finish(&self) -> Result<(), TraceError> {
+        for (proc, rank) in (0u32..).zip(&self.ranks) {
+            let nesting = |detail: String| TraceError::UnbalancedNesting { proc, detail };
+            if let Some(kind) = rank.activity {
+                return Err(nesting(format!(
+                    "activity {kind} still open at end of trace"
+                )));
+            }
+            if let Some(region) = rank.stack.last() {
+                return Err(nesting(format!(
+                    "region {region} still open at end of trace"
+                )));
+            }
         }
         Ok(())
     }
 }
 
-/// Shared plumbing of the reducing folds: the measurement and count
-/// builders plus the per-rank walkers' monotonicity bookkeeping.
-struct FoldCore {
-    activities: ActivitySet,
-    mb: Option<MeasurementsBuilder>,
-    cb: Option<CountMatrixBuilder>,
-    /// Last timestamp per rank — streaming cannot sort, so each rank's
-    /// stream must arrive time-ordered (every in-repo writer's order).
-    last_time: Vec<f64>,
+/// Rejects processor counts over the supported maximum before a fold
+/// sizes per-processor tables from one.
+fn check_processors(processors: usize) -> Result<(), TraceError> {
+    if processors > MAX_PROCESSORS {
+        return Err(malformed(format!(
+            "processor count {processors} exceeds the supported maximum {MAX_PROCESSORS}"
+        )));
+    }
+    Ok(())
 }
 
-impl FoldCore {
-    fn new(activities: ActivitySet) -> Self {
-        FoldCore {
-            activities,
-            mb: None,
-            cb: None,
-            last_time: Vec::new(),
+/// A full-run measurement builder over `activities` and the stream's
+/// regions, with its count matrix builder.
+fn builders(
+    processors: usize,
+    region_names: &[String],
+    activities: &ActivitySet,
+) -> (MeasurementsBuilder, CountMatrixBuilder) {
+    let mut mb = MeasurementsBuilder::with_activities(processors, activities.clone());
+    for name in region_names {
+        mb.add_region(name.clone());
+    }
+    (mb, CountMatrixBuilder::new(processors))
+}
+
+/// Records one attribution of rank `proc` into full-run builders.
+fn record(
+    (mb, cb): &mut (MeasurementsBuilder, CountMatrixBuilder),
+    proc: u32,
+    attribution: Attribution,
+) -> Result<(), ModelError> {
+    match attribution {
+        Attribution::Interval {
+            region,
+            kind,
+            start,
+            end,
+        } => mb.record(RegionId::new(region), kind, proc as usize, end - start),
+        Attribution::Count {
+            region,
+            kind,
+            amount,
+            ..
+        } => cb
+            .record(RegionId::new(region), kind, proc as usize, amount)
+            .and(Ok(())),
+    }
+}
+
+/// A recording target that latches its first failure: the walkers'
+/// attribution sinks cannot return errors.
+struct Latched<T> {
+    target: T,
+    failure: Option<ModelError>,
+}
+
+impl<T> Latched<T> {
+    fn new(target: T) -> Self {
+        Latched {
+            target,
+            failure: None,
         }
     }
 
-    fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
-        if processors > MAX_PROCESSORS {
-            return Err(malformed(format!(
-                "processor count {processors} exceeds the supported maximum {MAX_PROCESSORS}"
-            )));
+    /// An attribution sink that records into the target through
+    /// `record` until the first failure.
+    fn sink<'a>(
+        &'a mut self,
+        mut record: impl FnMut(&mut T, Attribution) -> Result<(), ModelError> + 'a,
+    ) -> impl FnMut(Attribution) + 'a {
+        move |attribution| {
+            if self.failure.is_none() {
+                if let Err(e) = record(&mut self.target, attribution) {
+                    self.failure = Some(e);
+                }
+            }
         }
-        let mut mb = MeasurementsBuilder::with_activities(processors, self.activities.clone());
-        for name in region_names {
-            mb.add_region(name.clone());
-        }
-        self.mb = Some(mb);
-        self.cb = Some(CountMatrixBuilder::new(processors));
-        self.last_time = vec![f64::NEG_INFINITY; processors];
-        Ok(())
+    }
+
+    /// Returns (and clears) the latched failure.
+    fn check(&mut self) -> Result<(), TraceError> {
+        self.failure.take().map_or(Ok(()), |e| Err(e.into()))
     }
 }
 
-/// Streaming full reduction — the fold counterpart of
-/// [`reduce`](crate::reduce()), bit-identical on every stream the
-/// simulator produces. Structural validation runs inline (see
-/// [`RankChecker`]): malformed streams — truncation included — fail
-/// with the same [`TraceError`] the batch path's up-front validation
-/// reports, never a panic. For lenient salvage of truncated streams use
-/// [`SalvageSink`].
+/// Finalizes full-run builders into a reduction.
+fn build((mb, cb): (MeasurementsBuilder, CountMatrixBuilder)) -> Result<ReducedTrace, TraceError> {
+    Ok(ReducedTrace {
+        measurements: mb.build()?,
+        counts: cb.build(),
+    })
+}
+
+/// The strict full reduction, the fold behind [`reduce`](crate::reduce()).
+/// Structural validation runs inline (see [`Trace::validate`]):
+/// malformed streams — truncation included — fail with a named
+/// [`TraceError`], never a panic. For lenient salvage of truncated
+/// streams use [`SalvageSink`].
 ///
 /// Construct it with the stream's [`ActivitySet`] (from a first-pass
-/// [`ScanSink`]); the materialized path reads the set off the whole
-/// trace, which a stream cannot.
+/// [`ScanSink`]).
 pub struct ReduceSink {
-    core: FoldCore,
+    activities: ActivitySet,
+    builders: Option<Latched<(MeasurementsBuilder, CountMatrixBuilder)>>,
     walkers: Vec<ProcWalker>,
-    checkers: Vec<RankChecker>,
-    regions: usize,
+    checks: RankChecks,
     result: Option<ReducedTrace>,
 }
 
@@ -1197,10 +1287,10 @@ impl ReduceSink {
     /// pass's [`StreamScan::activities`]).
     pub fn new(activities: ActivitySet) -> Self {
         ReduceSink {
-            core: FoldCore::new(activities),
+            activities,
+            builders: None,
             walkers: Vec::new(),
-            checkers: Vec::new(),
-            regions: 0,
+            checks: RankChecks::new(0, 0),
             result: None,
         }
     }
@@ -1213,102 +1303,60 @@ impl ReduceSink {
 
 impl TraceSink for ReduceSink {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
-        self.core.begin(processors, region_names)?;
+        check_processors(processors)?;
+        self.builders = Some(Latched::new(builders(
+            processors,
+            region_names,
+            &self.activities,
+        )));
         self.walkers = std::iter::repeat_with(ProcWalker::new)
             .take(processors)
             .collect();
-        self.checkers = std::iter::repeat_with(RankChecker::new)
-            .take(processors)
-            .collect();
-        self.regions = region_names.len();
+        self.checks = RankChecks::new(processors, region_names.len());
         Ok(())
     }
 
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
-        let mb = self
-            .core
-            .mb
+        let builders = self
+            .builders
             .as_mut()
             .ok_or_else(|| malformed("events before begin"))?;
-        let cb = self.core.cb.as_mut().expect("begin created both builders");
         for e in events {
-            let Some(checker) = self.checkers.get_mut(e.proc as usize) else {
-                return Err(TraceError::UnknownProcessor { proc: e.proc });
-            };
-            checker.step(e.proc, e, self.regions)?;
-            let walker = &mut self.walkers[e.proc as usize];
-            let mut failure = None;
-            walker.step(e, &mut |attribution| {
-                if failure.is_some() {
-                    return;
-                }
-                let result = match attribution {
-                    Attribution::Interval {
-                        region,
-                        kind,
-                        start,
-                        end,
-                    } => mb.record(RegionId::new(region), kind, e.proc as usize, end - start),
-                    Attribution::Count {
-                        region,
-                        kind,
-                        amount,
-                        ..
-                    } => cb
-                        .record(RegionId::new(region), kind, e.proc as usize, amount)
-                        .and(Ok(())),
-                };
-                if let Err(err) = result {
-                    failure = Some(err.into());
-                }
-            });
-            if let Some(err) = failure {
-                return Err(err);
-            }
+            self.checks.step(e)?;
+            self.walkers[e.proc as usize].step(e, &mut builders.sink(|b, a| record(b, e.proc, a)));
+            builders.check()?;
         }
         Ok(())
     }
 
     fn finish(&mut self) -> Result<(), TraceError> {
-        let mb = self
-            .core
-            .mb
+        let builders = self
+            .builders
             .take()
             .ok_or_else(|| malformed("finish before begin"))?;
-        let cb = self.core.cb.take().expect("begin created both builders");
-        // Rank order, matching the batch validator's reporting when
-        // several ranks were truncated.
-        for (proc, checker) in self.checkers.iter_mut().enumerate() {
-            checker.finish(proc as u32)?;
-        }
-        self.result = Some(ReducedTrace {
-            measurements: mb.build()?,
-            counts: cb.build(),
-        });
+        self.checks.finish()?;
+        self.result = Some(build(builders.target)?);
         Ok(())
     }
 }
 
-/// Streaming windowed reduction — the fold counterpart of
-/// [`reduce_windows`](crate::reduce_windows), driving the identical
-/// window-scatter arithmetic, bit-identical on well-formed streams.
-/// Structural validation runs inline (see [`RankChecker`]), so a
-/// malformed or crash-truncated stream fails windowing with the same
-/// [`TraceError`] the batch path reports from its up-front validation.
+/// The strict windowed reduction, the fold behind
+/// [`reduce_windows`](crate::reduce_windows): `windows` equal slices of
+/// `[0, makespan]`, each interval split proportionally over the windows
+/// it overlaps. Structural validation runs inline, exactly as in
+/// [`ReduceSink`].
 ///
 /// Needs the run's horizon (makespan) up front to fix the window width
-/// — which is exactly what the first-pass [`ScanSink`] provides; the
-/// deterministic simulator replays the identical stream on the second
-/// pass. Memory is O(windows × regions × activities × processors) —
-/// the size of the *output* — independent of event count.
+/// — which is exactly what the first-pass [`ScanSink`] provides. Memory
+/// is O(windows × regions × activities × processors) — the size of the
+/// *output* — independent of event count.
 pub struct WindowSink {
     windows: usize,
     width: f64,
     activities: ActivitySet,
-    builders: Vec<(MeasurementsBuilder, CountMatrixBuilder)>,
+    builders: Latched<Vec<(MeasurementsBuilder, CountMatrixBuilder)>>,
     walkers: Vec<ProcWalker>,
-    checkers: Vec<RankChecker>,
-    regions: usize,
+    checks: RankChecks,
     began: bool,
     result: Option<Vec<ReducedTrace>>,
 }
@@ -1319,9 +1367,7 @@ impl WindowSink {
     ///
     /// # Errors
     ///
-    /// The same degenerate-request errors as
-    /// [`reduce_windows`](crate::reduce_windows): zero windows, or a
-    /// stream spanning no time.
+    /// Degenerate requests: zero windows, or a stream spanning no time.
     pub fn new(windows: usize, makespan: f64, activities: ActivitySet) -> Result<Self, TraceError> {
         if windows == 0 {
             return Err(malformed("window count must be positive"));
@@ -1333,10 +1379,9 @@ impl WindowSink {
             windows,
             width: makespan / windows as f64,
             activities,
-            builders: Vec::new(),
+            builders: Latched::new(Vec::new()),
             walkers: Vec::new(),
-            checkers: Vec::new(),
-            regions: 0,
+            checks: RankChecks::new(0, 0),
             began: false,
             result: None,
         })
@@ -1350,28 +1395,16 @@ impl WindowSink {
 
 impl TraceSink for WindowSink {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
-        if processors > MAX_PROCESSORS {
-            return Err(malformed(format!(
-                "processor count {processors} exceeds the supported maximum {MAX_PROCESSORS}"
-            )));
-        }
-        self.builders = (0..self.windows)
-            .map(|_| {
-                let mut mb =
-                    MeasurementsBuilder::with_activities(processors, self.activities.clone());
-                for name in region_names {
-                    mb.add_region(name.clone());
-                }
-                (mb, CountMatrixBuilder::new(processors))
-            })
-            .collect();
+        check_processors(processors)?;
+        self.builders = Latched::new(
+            (0..self.windows)
+                .map(|_| builders(processors, region_names, &self.activities))
+                .collect(),
+        );
         self.walkers = std::iter::repeat_with(ProcWalker::new)
             .take(processors)
             .collect();
-        self.checkers = std::iter::repeat_with(RankChecker::new)
-            .take(processors)
-            .collect();
-        self.regions = region_names.len();
+        self.checks = RankChecks::new(processors, region_names.len());
         self.began = true;
         Ok(())
     }
@@ -1381,25 +1414,15 @@ impl TraceSink for WindowSink {
             return Err(malformed("events before begin"));
         }
         for e in events {
-            let Some(checker) = self.checkers.get_mut(e.proc as usize) else {
-                return Err(TraceError::UnknownProcessor { proc: e.proc });
-            };
-            checker.step(e.proc, e, self.regions)?;
-            let walker = &mut self.walkers[e.proc as usize];
-            let builders = &mut self.builders;
+            self.checks.step(e)?;
             let width = self.width;
-            let mut failure = None;
-            walker.step(e, &mut |attribution| {
-                if failure.is_some() {
-                    return;
-                }
-                if let Err(err) = scatter_windowed(builders, width, e.proc, attribution) {
-                    failure = Some(err.into());
-                }
-            });
-            if let Some(err) = failure {
-                return Err(err);
-            }
+            self.walkers[e.proc as usize].step(
+                e,
+                &mut self
+                    .builders
+                    .sink(|windows, a| scatter_windowed(windows, width, e.proc, a)),
+            );
+            self.builders.check()?;
         }
         Ok(())
     }
@@ -1408,42 +1431,32 @@ impl TraceSink for WindowSink {
         if !self.began {
             return Err(malformed("finish before begin"));
         }
-        // Rank order, matching the batch validator's reporting when
-        // several ranks were truncated.
-        for (proc, checker) in self.checkers.iter_mut().enumerate() {
-            checker.finish(proc as u32)?;
-        }
-        let builders = std::mem::take(&mut self.builders);
-        let windows = builders
+        self.checks.finish()?;
+        let windows = std::mem::take(&mut self.builders.target)
             .into_iter()
-            .map(|(mb, cb)| {
-                Ok(ReducedTrace {
-                    measurements: mb.build()?,
-                    counts: cb.build(),
-                })
-            })
+            .map(build)
             .collect::<Result<Vec<_>, TraceError>>()?;
         self.result = Some(windows);
         Ok(())
     }
 }
 
-/// Streaming salvaged reduction — the fold counterpart of
-/// [`reduce_checked`](crate::reduce_checked): identical attribution,
-/// identical truncation repair (open regions and activities closed at
-/// each rank's last timestamp on [`TraceSink::finish`]), identical
-/// per-rank [`coverage`](crate::RankCoverage) records, and the same
-/// structured [`TraceError::MalformedEvent`] errors naming an
-/// offending event's recording-order index.
-///
-/// One divergence is inherent: the batch path walks rank 0's whole
-/// stream before rank 1's, so when *several* ranks carry malformed
-/// events it reports the lowest-ranked one; the streaming fold fails at
-/// the first malformed event in recording order. Single-error streams
-/// — and all valid or merely truncated ones — behave identically.
+/// The salvaging reduction, the fold behind
+/// [`reduce_checked`](crate::reduce_checked): truncation damage (open
+/// regions and activities) is repaired by closing each rank at its last
+/// timestamp on [`TraceSink::finish`] and recorded in per-rank
+/// [`coverage`](crate::RankCoverage); damage no truncation explains is
+/// a structured [`TraceError::MalformedEvent`] naming the offending
+/// event's recording-order index, and a rank clock going backwards is
+/// [`TraceError::NonMonotoneTime`]. The first offending event in
+/// recording order names the error.
 pub struct SalvageSink {
-    core: FoldCore,
+    activities: ActivitySet,
+    builders: Option<Latched<(MeasurementsBuilder, CountMatrixBuilder)>>,
     walkers: Vec<SalvageWalker>,
+    /// Last timestamp per rank: each rank's events must arrive
+    /// time-ordered (the trace input contract).
+    last_time: Vec<f64>,
     /// Recording-order index of the next event (spans batches).
     index: usize,
     result: Option<SalvagedTrace>,
@@ -1454,8 +1467,10 @@ impl SalvageSink {
     /// pass's [`StreamScan::activities`]).
     pub fn new(activities: ActivitySet) -> Self {
         SalvageSink {
-            core: FoldCore::new(activities),
+            activities,
+            builders: None,
             walkers: Vec::new(),
+            last_time: Vec::new(),
             index: 0,
             result: None,
         }
@@ -1469,25 +1484,28 @@ impl SalvageSink {
 
 impl TraceSink for SalvageSink {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
-        self.core.begin(processors, region_names)?;
+        check_processors(processors)?;
+        self.builders = Some(Latched::new(builders(
+            processors,
+            region_names,
+            &self.activities,
+        )));
         self.walkers = (0..processors)
             .map(|proc| SalvageWalker::new(proc as u32, region_names.len()))
             .collect();
+        self.last_time = vec![f64::NEG_INFINITY; processors];
         Ok(())
     }
 
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
-        let mb = self
-            .core
-            .mb
+        let builders = self
+            .builders
             .as_mut()
             .ok_or_else(|| malformed("events before begin"))?;
-        let cb = self.core.cb.as_mut().expect("begin created both builders");
         for e in events {
             let index = self.index;
             self.index += 1;
             let Some(walker) = self.walkers.get_mut(e.proc as usize) else {
-                // Same structured error as the batch partitioner.
                 return Err(TraceError::MalformedEvent {
                     proc: e.proc,
                     index,
@@ -1498,7 +1516,7 @@ impl TraceSink for SalvageSink {
                     ),
                 });
             };
-            let last = &mut self.core.last_time[e.proc as usize];
+            let last = &mut self.last_time[e.proc as usize];
             if e.time < *last {
                 return Err(TraceError::NonMonotoneTime {
                     proc: e.proc,
@@ -1507,84 +1525,25 @@ impl TraceSink for SalvageSink {
                 });
             }
             *last = e.time;
-            let mut failure = None;
-            walker.step(index, e, &mut |attribution| {
-                if failure.is_some() {
-                    return;
-                }
-                let result = match attribution {
-                    Attribution::Interval {
-                        region,
-                        kind,
-                        start,
-                        end,
-                    } => mb.record(RegionId::new(region), kind, e.proc as usize, end - start),
-                    Attribution::Count {
-                        region,
-                        kind,
-                        amount,
-                        ..
-                    } => cb
-                        .record(RegionId::new(region), kind, e.proc as usize, amount)
-                        .and(Ok(())),
-                };
-                if let Err(err) = result {
-                    failure = Some(err.into());
-                }
-            })?;
-            if let Some(err) = failure {
-                return Err(err);
-            }
+            walker.step(index, e, &mut builders.sink(|b, a| record(b, e.proc, a)))?;
+            builders.check()?;
         }
         Ok(())
     }
 
     fn finish(&mut self) -> Result<(), TraceError> {
-        let mut mb = self
-            .core
-            .mb
+        let mut builders = self
+            .builders
             .take()
             .ok_or_else(|| malformed("finish before begin"))?;
-        let mut cb = self.core.cb.take().expect("begin created both builders");
-        let walkers = std::mem::take(&mut self.walkers);
-        let mut coverage = Vec::with_capacity(walkers.len());
-        for walker in walkers {
+        let mut coverage = Vec::with_capacity(self.walkers.len());
+        for walker in std::mem::take(&mut self.walkers) {
             let proc = walker.proc();
-            let mut failure: Option<TraceError> = None;
-            let cov = walker.finish(&mut |attribution| {
-                if failure.is_some() {
-                    return;
-                }
-                let result = match attribution {
-                    Attribution::Interval {
-                        region,
-                        kind,
-                        start,
-                        end,
-                    } => mb.record(RegionId::new(region), kind, proc as usize, end - start),
-                    Attribution::Count {
-                        region,
-                        kind,
-                        amount,
-                        ..
-                    } => cb
-                        .record(RegionId::new(region), kind, proc as usize, amount)
-                        .and(Ok(())),
-                };
-                if let Err(err) = result {
-                    failure = Some(err.into());
-                }
-            });
-            if let Some(err) = failure {
-                return Err(err);
-            }
-            coverage.push(cov);
+            coverage.push(walker.finish(&mut builders.sink(|b, a| record(b, proc, a))));
+            builders.check()?;
         }
         self.result = Some(SalvagedTrace {
-            reduced: ReducedTrace {
-                measurements: mb.build()?,
-                counts: cb.build(),
-            },
+            reduced: build(builders.target)?,
             coverage,
         });
         Ok(())
@@ -1595,7 +1554,7 @@ impl TraceSink for SalvageSink {
 mod tests {
     use super::*;
     use crate::binary::{from_bytes, to_bytes};
-    use crate::{reduce, reduce_checked, reduce_well_formed, reduce_windows};
+    use crate::{reduce, reduce_checked, reduce_windows};
     use limba_model::ProcessorId;
 
     fn sample() -> Trace {
@@ -1637,22 +1596,6 @@ mod tests {
             let bytes = to_stream_bytes(&t, frame).unwrap();
             assert_eq!(from_bytes(&bytes).unwrap(), t, "frame size {frame}");
         }
-    }
-
-    #[test]
-    fn stream_decoder_reads_materialized_formats() {
-        let t = sample();
-        let v2 = to_bytes(&t);
-        let mut sink = MaterializeSink::new();
-        decode_all(&v2, &mut sink).unwrap();
-        assert_eq!(sink.into_trace().unwrap(), t);
-
-        // Version 1: checksum stripped, version patched.
-        let mut v1 = v2[..v2.len() - 8].to_vec();
-        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
-        let mut sink = MaterializeSink::new();
-        decode_all(&v1, &mut sink).unwrap();
-        assert_eq!(sink.into_trace().unwrap(), t);
     }
 
     #[test]
@@ -1779,7 +1722,7 @@ mod tests {
     #[test]
     fn reduce_sink_is_bit_identical_to_batch() {
         let t = sample();
-        let batch = reduce_well_formed(&t).unwrap();
+        let batch = reduce(&t).unwrap();
         for frame in [1, 2, 5, 100] {
             let mut scan = ScanSink::new();
             stream_trace(&t, frame, &mut scan);

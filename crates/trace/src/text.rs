@@ -73,6 +73,12 @@ fn malformed(detail: impl Into<String>) -> TraceError {
 
 /// Reads a trace in the text format.
 ///
+/// Text is the one hand-written input, so it is the one reader that
+/// establishes the trace input contract instead of requiring it: each
+/// rank's events are stably sorted by time on load, each rank keeping
+/// the line slots it already occupies (a no-op when every rank is
+/// already in time order, as every writer produces).
+///
 /// # Errors
 ///
 /// Returns [`TraceError::Malformed`] on syntax errors and propagates I/O
@@ -126,6 +132,7 @@ pub fn read<R: Read>(reader: R) -> Result<Trace, TraceError> {
             return Err(malformed(format!("unrecognized line {line:?}")));
         }
     }
+    builder.sort_ranks();
     Ok(builder.build())
 }
 

@@ -39,13 +39,18 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
                     let region = limba::model::RegionId::new(r % regions);
                     let start = clock + offset;
                     let end = start + duration;
+                    // Each rank's events are recorded in time order
+                    // (the trace input contract): the send at 0.5·d
+                    // falls inside the activity over [0.25·d, 0.75·d].
+                    let kind =
+                        activity.map(|a| ActivityKind::from_index(a).expect("kind in range"));
                     b.push(Event::enter(start, p as u32, region));
-                    if let Some(a) = activity {
-                        let kind = ActivityKind::from_index(a).expect("kind in range");
-                        let a0 = start + duration * 0.25;
-                        let a1 = start + duration * 0.75;
-                        b.push(Event::begin_activity(a0, p as u32, kind));
-                        b.push(Event::end_activity(a1, p as u32, kind));
+                    if let Some(kind) = kind {
+                        b.push(Event::begin_activity(
+                            start + duration * 0.25,
+                            p as u32,
+                            kind,
+                        ));
                     }
                     if msg && procs > 1 {
                         let peer = ((p + 1) % procs) as u32;
@@ -55,6 +60,9 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
                             peer,
                             64,
                         ));
+                    }
+                    if let Some(kind) = kind {
+                        b.push(Event::end_activity(start + duration * 0.75, p as u32, kind));
                     }
                     b.push(Event::leave(end, p as u32, region));
                     clock = end;
