@@ -176,12 +176,63 @@ EXIT CODES:
                               rerun with --resume to continue)
 ";
 
+/// The part of [`USAGE`] about one subcommand: its usage lines and
+/// every section whose heading names it, then the exit codes. `None`
+/// when `command` has no usage line.
+fn command_usage(command: &str) -> Option<String> {
+    let mut blocks = USAGE.trim_end().split("\n\n");
+    let commands = blocks.nth(1)?;
+    let mut lines = String::new();
+    let mut mine = false;
+    for line in commands.lines().skip(1) {
+        // A usage line is indented two spaces; deeper lines continue it.
+        if !line.starts_with("   ") {
+            mine = line
+                .trim_start()
+                .strip_prefix("limba ")
+                .and_then(|usage| usage.split(' ').next())
+                == Some(command);
+        }
+        if mine {
+            lines.push_str(line);
+            lines.push('\n');
+        }
+    }
+    if lines.is_empty() {
+        return None;
+    }
+    let mut out = format!("USAGE:\n{lines}");
+    for block in blocks {
+        let heading = block.lines().next().unwrap_or_default();
+        let names = heading
+            .split_once('(')
+            .map(|(_, names)| names.trim_end_matches("):"));
+        let about = names.is_none_or(|names| {
+            names
+                .split(", ")
+                .any(|name| name.split(' ').next() == Some(command))
+        });
+        if about {
+            out.push('\n');
+            out.push_str(block);
+            out.push('\n');
+        }
+    }
+    Some(out)
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = argv.split_first() else {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if rest.iter().any(|arg| arg == "--help" || arg == "-h") {
+        if let Some(usage) = command_usage(command) {
+            print!("{usage}");
+            return ExitCode::SUCCESS;
+        }
+    }
     let result = match command.as_str() {
         "simulate" => cmd_simulate::run(rest),
         "analyze" => cmd_analyze::run(rest),

@@ -24,6 +24,35 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn every_subcommand_prints_its_usage_on_help() {
+    for command in [
+        "simulate", "analyze", "advise", "compare", "paper", "suite", "timeline", "serve", "push",
+        "query", "demo",
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = limba(&[command, flag]);
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            assert!(out.status.success(), "{command} {flag}: {stdout}");
+            assert!(
+                stdout.starts_with("USAGE:\n") && stdout.contains(&format!("limba {command}")),
+                "{command} {flag}: {stdout}"
+            );
+            assert!(stdout.contains("EXIT CODES"), "{command} {flag}: {stdout}");
+        }
+    }
+    // Help wins wherever it stands, and names the subcommand's options.
+    let out = limba(&["simulate", "cfd", "--ranks", "4", "--help"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("OPTIONS (simulate):"), "{stdout}");
+    assert!(stdout.contains("SUPERVISION"), "{stdout}");
+    assert!(!stdout.contains("OPTIONS (serve):"), "{stdout}");
+    let stdout = String::from_utf8(limba(&["analyze", "-h"]).stdout).unwrap();
+    assert!(stdout.contains("--from-stream"), "{stdout}");
+    assert!(!stdout.contains("SUPERVISION"), "{stdout}");
+}
+
+#[test]
 fn no_args_fails_with_usage() {
     let out = limba(&[]);
     assert!(!out.status.success());

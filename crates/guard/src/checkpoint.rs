@@ -294,7 +294,8 @@ impl Checkpoint {
         };
         {
             let mut file = vfs.create(&tmp).map_err(|e| io_error(&tmp, e))?;
-            file.append(&self.to_bytes()).map_err(|e| io_error(&tmp, e))?;
+            file.append(&self.to_bytes())
+                .map_err(|e| io_error(&tmp, e))?;
             // Sync the tmp file *before* the rename: a rename can
             // reach disk ahead of the data it points at, leaving a
             // zero-length or torn checkpoint after power loss.

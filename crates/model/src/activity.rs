@@ -142,6 +142,16 @@ impl ActivitySet {
         ActivitySet::new(STANDARD_ACTIVITIES)
     }
 
+    /// Appends `kind` as the last column unless the set already holds
+    /// it; returns whether it was appended.
+    pub fn insert(&mut self, kind: ActivityKind) -> bool {
+        let absent = !self.kinds.contains(&kind);
+        if absent {
+            self.kinds.push(kind);
+        }
+        absent
+    }
+
     /// Number of activities in the set.
     pub fn len(&self) -> usize {
         self.kinds.len()

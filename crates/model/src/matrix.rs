@@ -272,6 +272,29 @@ impl MeasurementsBuilder {
         self.regions.len()
     }
 
+    /// Appends `kind` as a new, zero-filled last activity column unless
+    /// the builder's set already holds it; returns whether it was
+    /// appended. Recorded times keep their cells, and the buffer grows
+    /// in place to the new shape.
+    pub fn add_activity(&mut self, kind: ActivityKind) -> bool {
+        if !self.activities.insert(kind) {
+            return false;
+        }
+        let new_row = self.activities.len() * self.processors;
+        let old_row = new_row - self.processors;
+        let regions = self.regions.len();
+        self.data.reserve_exact(regions * self.processors);
+        self.data.resize(regions * new_row, 0.0);
+        // Back to front, so no region's row is overwritten before it
+        // has moved to its new offset.
+        for r in (0..regions).rev() {
+            self.data
+                .copy_within(r * old_row..(r + 1) * old_row, r * new_row);
+            self.data[r * new_row + old_row..(r + 1) * new_row].fill(0.0);
+        }
+        true
+    }
+
     /// Adds `seconds` to the `(region, kind, proc)` cell.
     ///
     /// # Errors
@@ -424,6 +447,43 @@ mod tests {
             m.time(r, ActivityKind::Synchronization, ProcessorId::new(0)),
             4.0
         );
+    }
+
+    #[test]
+    fn added_activity_columns_keep_recorded_cells() {
+        let mut grown = MeasurementsBuilder::new(2);
+        let r0 = grown.add_region("loop 1");
+        let r1 = grown.add_region("loop 2");
+        grown.record(r0, ActivityKind::Computation, 1, 3.0).unwrap();
+        grown.record(r1, ActivityKind::Collective, 0, 0.5).unwrap();
+        assert!(grown.add_activity(ActivityKind::Io));
+        assert!(!grown.add_activity(ActivityKind::Io));
+        assert!(!grown.add_activity(ActivityKind::Computation));
+        grown.record(r1, ActivityKind::Io, 1, 2.0).unwrap();
+        assert!(grown.add_activity(ActivityKind::MemoryAccess));
+        let r2 = grown.add_region("loop 3");
+        grown
+            .record(r2, ActivityKind::MemoryAccess, 0, 1.0)
+            .unwrap();
+
+        let set = ActivitySet::new(
+            crate::STANDARD_ACTIVITIES
+                .into_iter()
+                .chain([ActivityKind::Io, ActivityKind::MemoryAccess]),
+        );
+        let mut direct = MeasurementsBuilder::with_activities(2, set);
+        for r in ["loop 1", "loop 2", "loop 3"] {
+            direct.add_region(r);
+        }
+        direct
+            .record(r0, ActivityKind::Computation, 1, 3.0)
+            .unwrap();
+        direct.record(r1, ActivityKind::Collective, 0, 0.5).unwrap();
+        direct.record(r1, ActivityKind::Io, 1, 2.0).unwrap();
+        direct
+            .record(r2, ActivityKind::MemoryAccess, 0, 1.0)
+            .unwrap();
+        assert_eq!(grown.build().unwrap(), direct.build().unwrap());
     }
 
     #[test]

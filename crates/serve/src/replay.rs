@@ -2,14 +2,20 @@
 //!
 //! The serving layer never grows a second analysis path. A run's
 //! **final** report is produced by replaying its spool through the
-//! exact sequence `limba analyze --from-stream` runs — scan pass,
-//! salvage fold, the default analyzer, the coverage renderer — so the
-//! served bytes are byte-for-byte what the offline CLI prints for the
-//! same tracefile. A **partial** report (mid-stream disconnect, live
-//! query) runs the same two passes but closes the folds directly
-//! instead of requiring the stream's end chunk, which is precisely the
-//! salvage repair: truncated ranks are closed at their last event and
-//! flagged in the coverage section.
+//! fold `limba analyze --from-stream` runs — the salvage fold, the
+//! default analyzer, the coverage renderer — so the served bytes are
+//! byte-for-byte what the offline CLI prints for the same tracefile.
+//! The replay is one pass: the salvage fold learns its activity columns
+//! as it meets new kinds, in the order a scan pass would list them, so
+//! it needs no scan first. A **partial** report (mid-stream
+//! disconnect, live query) runs the same pass but closes the fold
+//! directly instead of requiring the stream's end chunk, which is
+//! precisely the salvage repair: truncated ranks are closed at their
+//! last event and flagged in the coverage section. When the fold
+//! itself rejects an event past the first chunk, the salvage keeps the
+//! prefix before it, and its columns are the kinds that prefix began.
+//! The evolution report keeps a scan pass first, because the window
+//! fold needs the makespan before its first event.
 //!
 //! Replay reads the spool in bounded chunks; memory is one chunk
 //! buffer plus fold state, never the trace.
@@ -17,10 +23,12 @@
 use std::path::Path;
 
 use limba_analysis::Analyzer;
+use limba_model::ActivitySet;
 use limba_stats::dispersion::DispersionKind;
 use limba_stats::rank::RankingCriterion;
 use limba_trace::{
-    SalvageSink, SalvagedTrace, ScanSink, StreamDecoder, StreamScan, TraceSink, WindowSink,
+    Event, SalvageSink, SalvagedTrace, ScanSink, StreamDecoder, StreamScan, TraceError, TraceSink,
+    WindowSink,
 };
 use limba_vfs::Vfs;
 
@@ -39,10 +47,50 @@ fn analyzer() -> Analyzer {
         .with_cluster_k(2)
 }
 
-/// Feeds the spool through `sink`. With `strict`, the decoder's own
-/// `finish` runs — truncated spools fail exactly like the offline
-/// CLI. Without it, decode errors past the header are swallowed and
-/// the sink is closed directly, salvaging whatever prefix decoded.
+/// Holds back the fold's first error while the decoder reads on, so
+/// damage to the container is named wherever it lies, before any error
+/// of the fold: the order the whole-buffer reader gives, and the one a
+/// scan pass over the spool gave when it ran before the fold. After an
+/// error the fold receives nothing more.
+struct DecodeFirst<'a> {
+    fold: &'a mut dyn TraceSink,
+    error: Option<TraceError>,
+}
+
+impl DecodeFirst<'_> {
+    fn hold(
+        &mut self,
+        step: impl FnOnce(&mut dyn TraceSink) -> Result<(), TraceError>,
+    ) -> Result<(), TraceError> {
+        if self.error.is_none() {
+            self.error = step(&mut *self.fold).err();
+        }
+        Ok(())
+    }
+}
+
+impl TraceSink for DecodeFirst<'_> {
+    fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
+        self.hold(|fold| fold.begin(processors, region_names))
+    }
+
+    fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
+        self.hold(|fold| fold.events(events))
+    }
+
+    fn finish(&mut self) -> Result<(), TraceError> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.fold.finish(),
+        }
+    }
+}
+
+/// Feeds the spool through `sink` in one pass. With `strict`, the
+/// decoder's own `finish` runs — truncated spools fail exactly like the
+/// offline CLI. Without it, errors past the first chunk end the usable
+/// prefix, and the sink is closed directly, salvaging whatever it took
+/// in before.
 fn feed_spool(
     vfs: &dyn Vfs,
     path: &Path,
@@ -51,54 +99,56 @@ fn feed_spool(
 ) -> Result<(), ServeError> {
     let mut file = vfs.open_read(path)?;
     let mut decoder = StreamDecoder::new();
+    let mut held = DecodeFirst {
+        fold: sink,
+        error: None,
+    };
     let mut buf = vec![0u8; CHUNK];
-    let mut fed = 0u64;
+    let mut first = true;
     loop {
         let n = file.read(&mut buf)?;
         if n == 0 {
             break;
         }
-        fed += n as u64;
-        if let Err(e) = decoder.feed(&buf[..n], sink) {
-            if strict {
+        let fed = decoder.feed(&buf[..n], &mut held);
+        if strict {
+            fed?;
+        } else if first {
+            // A header that never decoded, or a fold that failed on
+            // the first chunk, leaves nothing to salvage.
+            fed?;
+            if let Some(e) = held.error.take() {
                 return Err(e.into());
             }
+        } else if fed.is_err() || held.error.is_some() {
             // Salvage mode: a malformed tail (the stream died
-            // mid-write) ends the usable prefix. A header that never
-            // decoded is still fatal — there is nothing to salvage.
-            if fed == n as u64 {
-                return Err(e.into());
-            }
+            // mid-write) ends the usable prefix.
             break;
         }
+        first = false;
     }
     if strict {
-        decoder.finish(sink)?;
+        decoder.finish(&mut held)?;
     } else {
-        // Close the folds over whatever arrived. ScanSink just seals
-        // its totals; SalvageSink closes every rank's walker at its
-        // last event — the truncation repair.
-        sink.finish()?;
+        // Close the fold over whatever arrived: SalvageSink closes
+        // every rank's walker at its last event — the truncation
+        // repair.
+        held.fold.finish()?;
     }
     Ok(())
 }
 
-/// Scan pass over the spool.
-fn scan_spool(vfs: &dyn Vfs, path: &Path, strict: bool) -> Result<StreamScan, ServeError> {
+/// Scan pass over a complete spool.
+fn scan_spool(vfs: &dyn Vfs, path: &Path) -> Result<StreamScan, ServeError> {
     let mut scan = ScanSink::new();
-    feed_spool(vfs, path, &mut scan, strict)?;
+    feed_spool(vfs, path, &mut scan, true)?;
     scan.into_scan()
         .ok_or_else(|| ServeError::State("stream scan did not complete".into()))
 }
 
-/// Salvage-fold pass over the spool.
-fn fold_spool(
-    vfs: &dyn Vfs,
-    path: &Path,
-    scan: &StreamScan,
-    strict: bool,
-) -> Result<SalvagedTrace, ServeError> {
-    let mut salvage = SalvageSink::new(scan.activities.clone());
+/// The one salvage-fold pass over the spool.
+fn fold_spool(vfs: &dyn Vfs, path: &Path, strict: bool) -> Result<SalvagedTrace, ServeError> {
+    let mut salvage = SalvageSink::new(ActivitySet::standard());
     feed_spool(vfs, path, &mut salvage, strict)?;
     salvage
         .into_salvaged()
@@ -111,7 +161,7 @@ fn guard_salvage(salvaged: &SalvagedTrace) -> Result<(), ServeError> {
     let SalvagedTrace { reduced, coverage } = salvaged;
     if coverage.iter().any(|c| !c.complete) && reduced.measurements.total_time() <= 0.0 {
         let truncated = coverage.iter().filter(|c| !c.complete).count();
-        return Err(ServeError::Trace(limba_trace::TraceError::Malformed {
+        return Err(ServeError::Trace(TraceError::Malformed {
             detail: format!(
                 "unsalvageable trace: {truncated} of {} ranks truncated and no measured time survives",
                 coverage.len()
@@ -134,18 +184,16 @@ fn render(salvaged: &SalvagedTrace) -> Result<String, ServeError> {
 /// The final report for a **complete** spool: byte-for-byte what
 /// `limba analyze <spool> --from-stream` prints.
 pub fn complete_report(vfs: &dyn Vfs, spool: &Path) -> Result<String, ServeError> {
-    let scan = scan_spool(vfs, spool, true)?;
-    let salvaged = fold_spool(vfs, spool, &scan, true)?;
+    let salvaged = fold_spool(vfs, spool, true)?;
     guard_salvage(&salvaged)?;
     render(&salvaged)
 }
 
 /// A salvage-grade report over a **partial** spool (disconnected or
-/// still-live run): both passes close their folds at the last decoded
-/// event instead of requiring the end chunk.
+/// still-live run): the pass closes its fold at the last decoded event
+/// instead of requiring the end chunk.
 pub fn partial_report(vfs: &dyn Vfs, spool: &Path) -> Result<String, ServeError> {
-    let scan = scan_spool(vfs, spool, false)?;
-    let salvaged = fold_spool(vfs, spool, &scan, false)?;
+    let salvaged = fold_spool(vfs, spool, false)?;
     guard_salvage(&salvaged)?;
     render(&salvaged)
 }
@@ -154,8 +202,8 @@ pub fn partial_report(vfs: &dyn Vfs, spool: &Path) -> Result<String, ServeError>
 /// complete spool — same pass order and rendering as
 /// `limba analyze --from-stream --windows N`.
 pub fn evolution_report(vfs: &dyn Vfs, spool: &Path, windows: usize) -> Result<String, ServeError> {
-    let scan = scan_spool(vfs, spool, true)?;
-    let mut sink = WindowSink::new(windows, scan.makespan, scan.activities.clone())?;
+    let scan = scan_spool(vfs, spool)?;
+    let mut sink = WindowSink::new(windows, scan.makespan, scan.activities)?;
     feed_spool(vfs, spool, &mut sink, true)?;
     let sliced = sink
         .into_windows()
@@ -218,6 +266,61 @@ mod tests {
         let spool = dir.join("partial.trc");
         fs::write(&spool, &bytes[..bytes.len() - 21]).unwrap();
         assert!(complete_report(&StdVfs, &spool).is_err());
+        let report = partial_report(&StdVfs, &spool).unwrap();
+        assert!(report.contains("== coarse grain =="), "{report}");
+        fs::remove_file(&spool).unwrap();
+    }
+
+    /// A spool of `sends` messages on rank 1 inside one region, with
+    /// `first` recorded before them and `last` after; more than one
+    /// replay chunk and one decoder batch long.
+    fn long_spool(name: &str, first: Event, sends: usize, last: Event) -> std::path::PathBuf {
+        let mut out = Vec::new();
+        let mut sink = WriteSink::new(&mut out);
+        sink.begin(2, &["work".into()]).unwrap();
+        let mut events = vec![first, Event::enter(0.0, 1, 0.into())];
+        events.extend((0..sends).map(|i| Event::message_send(1.0 + i as f64, 1, 0, 64)));
+        events.push(last);
+        events.push(Event::leave(1e6, 1, 0.into()));
+        sink.events(&events).unwrap();
+        sink.finish().unwrap();
+        assert!(out.len() > 2 * CHUNK, "{} bytes", out.len());
+        let dir = std::env::temp_dir().join(format!("limba-replay-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let spool = dir.join(name);
+        fs::write(&spool, out).unwrap();
+        spool
+    }
+
+    #[test]
+    fn container_damage_is_named_before_an_earlier_fold_error() {
+        // Event 0 leaves a region it never entered; the last chunk
+        // holds a timestamp the decoder rejects.
+        let spool = long_spool(
+            "damaged.trc",
+            Event::leave(0.0, 0, 0.into()),
+            6000,
+            Event::message_send(f64::NAN, 1, 0, 64),
+        );
+        let err = complete_report(&StdVfs, &spool).unwrap_err().to_string();
+        assert!(err.contains("non-finite event timestamp"), "{err}");
+        // Salvage gives up on the fold error in the first chunk.
+        let err = partial_report(&StdVfs, &spool).unwrap_err().to_string();
+        assert!(err.contains("malformed event #0"), "{err}");
+        fs::remove_file(&spool).unwrap();
+    }
+
+    #[test]
+    fn salvage_keeps_the_prefix_before_a_late_fold_error() {
+        // Rank 1's clock goes backwards past the first chunk.
+        let spool = long_spool(
+            "backwards.trc",
+            Event::enter(0.0, 0, 0.into()),
+            6000,
+            Event::message_send(0.5, 1, 0, 64),
+        );
+        let err = complete_report(&StdVfs, &spool).unwrap_err().to_string();
+        assert!(err.contains("went backwards"), "{err}");
         let report = partial_report(&StdVfs, &spool).unwrap();
         assert!(report.contains("== coarse grain =="), "{report}");
         fs::remove_file(&spool).unwrap();

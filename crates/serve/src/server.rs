@@ -173,9 +173,13 @@ impl Server {
                 let spool_dir = dir.join("spool");
                 cfg.vfs.create_dir_all(&spool_dir)?;
                 let path = dir.join("serve-meta.ckpt");
-                let ckpt =
-                    Checkpoint::load_or_new_vfs(cfg.vfs.as_ref(), &path, META_KIND, meta_fingerprint())
-                        .map_err(|e| ServeError::State(format!("checkpoint: {e}")))?;
+                let ckpt = Checkpoint::load_or_new_vfs(
+                    cfg.vfs.as_ref(),
+                    &path,
+                    META_KIND,
+                    meta_fingerprint(),
+                )
+                .map_err(|e| ServeError::State(format!("checkpoint: {e}")))?;
                 (spool_dir, Some((path, Mutex::new(ckpt))))
             }
             None => {

@@ -16,15 +16,18 @@
 //!   [`FrameSink`], and the simulation aborts at the next round
 //!   boundary.
 //!
-//! [`stream_reduce`] is the turnkey two-pass entry point the CLI and
-//! examples use: a first O(1)-memory pass scans the run's makespan and
-//! activity set (the two facts the reducing folds need up front), then
-//! the pipelined second pass folds frames into the salvaged and
-//! optional windowed reductions. The simulator is deterministic, so
-//! both passes see the identical event stream, and the results equal
-//! the batch reductions of the materialized trace, which
-//! `tests/stream_equivalence.rs` locks across workloads × fault plans ×
-//! balance plans × frame sizes × job counts.
+//! [`stream_reduce`] is the turnkey entry point the CLI and examples
+//! use. Without windows it simulates once: the pipelined pass folds
+//! frames into the salvaged reduction, whose activity columns the fold
+//! learns as it meets new kinds, while a scan teed beside it counts
+//! events and the makespan. A windowed run simulates twice, because
+//! the window fold must know the makespan before its first event: a
+//! first O(1)-memory pass scans it, then the pipelined pass folds
+//! frames into the salvaged and windowed reductions. The simulator is
+//! deterministic, so both passes see the identical event stream. Either
+//! way the results equal the batch reductions of the materialized
+//! trace, which `tests/stream_equivalence.rs` locks across workloads ×
+//! fault plans × balance plans × frame sizes × job counts.
 //!
 //! [`StreamEncoder`]: limba_trace::StreamEncoder
 
@@ -36,6 +39,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use bytes::Bytes;
 
+use limba_model::ActivitySet;
 use limba_mpisim::{BalancePlan, FaultPlan, Program, RunBudget, SimError, Simulator, StreamOutput};
 use limba_trace::stream::StreamScan;
 use limba_trace::{
@@ -261,7 +265,8 @@ pub struct StreamedReduction {
     /// for them — identical to the materialized
     /// [`reduce_windows`](limba_trace::reduce_windows).
     pub windows: Option<Vec<ReducedTrace>>,
-    /// The first pass's scan: makespan, activity set, event count.
+    /// The run's scan: makespan, activity set, event count — from the
+    /// first pass of a windowed run, or teed beside the fold otherwise.
     pub scan: StreamScan,
 }
 
@@ -304,15 +309,17 @@ fn pipeline(
 /// The turnkey streaming driver: simulate → frames → salvaged (and
 /// optionally windowed) reduction, never materializing the trace.
 ///
-/// Two passes, exploiting the simulator's determinism (both see the
-/// identical event stream):
-///
-/// 1. a direct, channel-free O(1)-memory pass through a
-///    [`ScanSink`], learning the makespan and activity set the
-///    reducing folds need at construction;
-/// 2. the pipelined pass — a [`FrameSink`] producer sending over one
-///    bounded channel to the decoding fold — where backpressure keeps
-///    at most `depth + 2` frames of trace alive at once.
+/// The reduction runs in the pipelined pass — a [`FrameSink`] producer
+/// sending over one bounded channel to the decoding fold — where
+/// backpressure keeps at most `depth + 2` frames of trace alive at
+/// once. The salvage fold starts from the standard activities and
+/// appends each further kind as the run first begins it, so without
+/// [`StreamConfig::windows`] this is the only simulation, and a
+/// [`ScanSink`] teed beside the fold fills in
+/// [`StreamedReduction::scan`]. With windows, a direct, channel-free
+/// O(1)-memory [`ScanSink`] pass runs first, because the window fold
+/// needs the makespan at construction; the simulator's determinism
+/// gives both passes the identical event stream.
 ///
 /// The results are bit-identical to materializing the trace and
 /// reducing it, per the differential harness.
@@ -333,17 +340,18 @@ pub fn stream_reduce(
     stream_reduce_tee(sim, program, faults, balance, budget, cfg, None)
 }
 
-/// [`stream_reduce`] with an optional producer-side tee: the second
-/// (pipelined) pass feeds the identical event stream into `tee` as well
-/// — e.g. a [`WriteSink`](limba_trace::WriteSink) persisting the
-/// chunked tracefile while the reduction folds it, still without ever
-/// materializing the trace. The first (scan) pass does not touch the
-/// tee, so the tee sees the stream exactly once.
+/// [`stream_reduce`] with an optional producer-side tee: the pipelined
+/// pass feeds the identical event stream into `tee` as well — e.g. a
+/// [`WriteSink`](limba_trace::WriteSink) persisting the chunked
+/// tracefile while the reduction folds it, still without ever
+/// materializing the trace. A windowed run's scan pass does not touch
+/// the tee, so the tee sees the stream exactly once.
 ///
 /// # Errors
 ///
 /// As [`stream_reduce`], plus whatever the tee surfaces (an error from
-/// the tee aborts the simulation like a fold error would).
+/// the tee aborts the simulation like a fold error would). A zero
+/// window count fails before anything simulates.
 pub fn stream_reduce_tee(
     sim: &Simulator,
     program: &Program,
@@ -353,6 +361,9 @@ pub fn stream_reduce_tee(
     cfg: &StreamConfig,
     tee: Option<&mut (dyn TraceSink + Send)>,
 ) -> Result<StreamedReduction, StreamError> {
+    if let Some(windows) = cfg.windows {
+        WindowSink::check_count(windows)?;
+    }
     let run = |sink: &mut dyn TraceSink| {
         sim.run_streaming_parallel_configured(
             program,
@@ -365,37 +376,41 @@ pub fn stream_reduce_tee(
         )
     };
 
-    // Pass 1: scan.
-    let mut scan_sink = ScanSink::new();
-    run(&mut scan_sink)?;
-    let scan = scan_sink
-        .into_scan()
-        .ok_or_else(|| StreamError::Stage("scan pass ended before finish".into()))?;
+    let produce = |frames: &mut FrameSink| match tee {
+        Some(tee) => run(&mut TeeSink::new(tee, frames)),
+        None => run(frames),
+    };
+    let finished = |scan: ScanSink| {
+        scan.into_scan()
+            .ok_or_else(|| StreamError::Stage("scan ended before finish".into()))
+    };
 
-    // Pass 2: pipelined fold.
-    let mut salvage = SalvageSink::new(scan.activities.clone());
-    let mut windowed = cfg
-        .windows
-        .map(|w| WindowSink::new(w, scan.makespan, scan.activities.clone()))
-        .transpose()?;
-    let output = pipeline(
-        cfg.depth,
-        |frames| match tee {
-            Some(tee) => run(&mut TeeSink::new(tee, frames)),
-            None => run(frames),
-        },
-        |rx| match &mut windowed {
-            Some(windows) => drain_frames(rx, &mut TeeSink::new(&mut salvage, windows)),
-            None => drain_frames(rx, &mut salvage),
-        },
-    )?;
+    let mut salvage = SalvageSink::new(ActivitySet::standard());
+    let mut scan_sink = ScanSink::new();
+    let (output, scan, windows) = match cfg.windows {
+        None => {
+            let output = pipeline(cfg.depth, produce, |rx| {
+                drain_frames(rx, &mut TeeSink::new(&mut salvage, &mut scan_sink))
+            })?;
+            (output, finished(scan_sink)?, None)
+        }
+        Some(windows) => {
+            run(&mut scan_sink)?;
+            let scan = finished(scan_sink)?;
+            let mut windowed = WindowSink::new(windows, scan.makespan, scan.activities.clone())?;
+            let output = pipeline(cfg.depth, produce, |rx| {
+                drain_frames(rx, &mut TeeSink::new(&mut salvage, &mut windowed))
+            })?;
+            (output, scan, windowed.into_windows())
+        }
+    };
     let salvaged = salvage
         .into_salvaged()
         .ok_or_else(|| StreamError::Stage("fold produced no reduction".into()))?;
     Ok(StreamedReduction {
         output,
         salvaged,
-        windows: windowed.and_then(WindowSink::into_windows),
+        windows,
         scan,
     })
 }
@@ -501,6 +516,73 @@ mod tests {
             "{err}"
         );
         assert!(out.is_none(), "cancelled run must not produce output");
+    }
+
+    #[test]
+    fn zero_windows_fail_before_anything_simulates() {
+        /// A tee that counts the streams it is asked to begin.
+        struct Begins(usize);
+        impl TraceSink for Begins {
+            fn begin(&mut self, _: usize, _: &[String]) -> Result<(), TraceError> {
+                self.0 += 1;
+                Ok(())
+            }
+            fn events(&mut self, _: &[limba_trace::Event]) -> Result<(), TraceError> {
+                Ok(())
+            }
+            fn finish(&mut self) -> Result<(), TraceError> {
+                Ok(())
+            }
+        }
+
+        let ranks = 4;
+        let sim = machine(ranks);
+        let program = sample_program(ranks);
+        let cfg = StreamConfig {
+            windows: Some(0),
+            ..StreamConfig::default()
+        };
+        // A budget already spent: a simulation that started would fail
+        // with the interruption instead of the window error.
+        let budget = RunBudget {
+            max_ops: Some(0),
+            ..RunBudget::default()
+        };
+        let mut tee = Begins(0);
+        let err = stream_reduce_tee(
+            &sim,
+            &program,
+            None,
+            None,
+            Some(&budget),
+            &cfg,
+            Some(&mut tee),
+        )
+        .expect_err("zero windows");
+        assert!(
+            matches!(err, StreamError::Trace(TraceError::Malformed { ref detail })
+                if detail == "window count must be positive"),
+            "{err}"
+        );
+        assert_eq!(tee.0, 0, "the tee saw a stream");
+    }
+
+    #[test]
+    fn one_pass_scan_matches_the_scan_pass() {
+        let ranks = 6;
+        let sim = machine(ranks);
+        let program = sample_program(ranks);
+        let single = stream_reduce(&sim, &program, None, None, None, &StreamConfig::default())
+            .expect("single pass");
+        let mut scan = ScanSink::new();
+        sim.run_streaming_parallel_configured(&program, None, None, None, 1, &mut scan, 4096)
+            .expect("scan pass");
+        let scan = scan.into_scan().expect("scanned");
+        assert_eq!(single.scan.events, scan.events);
+        assert_eq!(single.scan.makespan.to_bits(), scan.makespan.to_bits());
+        assert_eq!(single.scan.activities, scan.activities);
+        assert_eq!(single.scan.processors, scan.processors);
+        assert_eq!(single.scan.region_names, scan.region_names);
     }
 
     #[test]

@@ -6,50 +6,48 @@
 //! the dynamic nesting, so the analysis can drill down from coarse
 //! regions to the specific statement block that misbehaves.
 
+use crate::stream::RankChecks;
 use crate::{EventPayload, Trace, TraceError};
 
 /// The observed parent of each region: `parents[r]` is `Some(q)` when
 /// region `r` was always entered while `q` was the innermost open
 /// region, `None` when `r` is entered at top level.
 ///
+/// One pass over the events in recording order, with the checks of
+/// [`Trace::validate`] inline: each rank's open regions are the
+/// checker's own stack.
+///
 /// # Errors
 ///
-/// Returns [`TraceError::UnbalancedNesting`] (via validation) for
-/// malformed traces, and [`TraceError::Malformed`] when a region is
-/// observed under two different parents — the region structure is then
-/// not a tree and hierarchical analysis does not apply.
+/// The first error in recording order: a structural violation (the
+/// errors of [`Trace::validate`]), or [`TraceError::Malformed`] when a
+/// region is entered under a parent other than the one it was first
+/// seen under — the region structure is then not a tree and
+/// hierarchical analysis does not apply. Regions and activities still
+/// open at the end are reported last, in rank order.
 pub fn region_parents(trace: &Trace) -> Result<Vec<Option<usize>>, TraceError> {
-    trace.validate()?;
-    let n = trace.region_names().len();
+    let mut checks = RankChecks::new(trace.processors(), trace.region_names().len());
     // `Some(None)` = seen at top level; `Some(Some(q))` = seen under q.
-    let mut parents: Vec<Option<Option<usize>>> = vec![None; n];
-    for proc in 0..trace.processors() as u32 {
-        let mut stack: Vec<usize> = Vec::new();
-        for e in trace.events_by_processor(proc) {
-            match e.payload {
-                EventPayload::EnterRegion { region } => {
-                    let parent = stack.last().copied();
-                    match parents[region] {
-                        None => parents[region] = Some(parent),
-                        Some(seen) if seen == parent => {}
-                        Some(seen) => {
-                            return Err(TraceError::Malformed {
-                                detail: format!(
-                                "region {region} observed under parents {seen:?} and {parent:?}; \
-                                     the region structure is not a tree"
-                            ),
-                            })
-                        }
-                    }
-                    stack.push(region);
+    let mut parents: Vec<Option<Option<usize>>> = vec![None; trace.region_names().len()];
+    for e in trace.events() {
+        let parent = checks.innermost(e.proc);
+        checks.step(e)?;
+        if let EventPayload::EnterRegion { region } = e.payload {
+            match parents[region] {
+                None => parents[region] = Some(parent),
+                Some(seen) if seen == parent => {}
+                Some(seen) => {
+                    return Err(TraceError::Malformed {
+                        detail: format!(
+                            "region {region} observed under parents {seen:?} and {parent:?}; \
+                             the region structure is not a tree"
+                        ),
+                    })
                 }
-                EventPayload::LeaveRegion { .. } => {
-                    stack.pop();
-                }
-                _ => {}
             }
         }
     }
+    checks.finish()?;
     // Regions never entered default to top level.
     Ok(parents.into_iter().map(|p| p.flatten()).collect())
 }
@@ -95,22 +93,54 @@ mod tests {
 
     #[test]
     fn inconsistent_parents_are_rejected() {
+        let mut b = TraceBuilder::new(2);
+        let a = b.add_region("a");
+        let c = b.add_region("b");
+        let shared = b.add_region("shared");
+        // Rank 1 records first, so `shared` is first seen under `b`;
+        // rank 0 then enters it under `a`. Rank 0's later bad leave
+        // comes after the conflict in recording order.
+        b.push(Event::enter(0.0, 1, c));
+        b.push(Event::enter(1.0, 1, shared));
+        b.push(Event::enter(0.0, 0, a));
+        b.push(Event::enter(1.0, 0, shared));
+        b.push(Event::leave(2.0, 0, a));
+        match region_parents(&b.build()) {
+            Err(TraceError::Malformed { detail }) => assert!(
+                detail.contains("region 2 observed under parents Some(1) and Some(0)"),
+                "{detail}"
+            ),
+            other => panic!("expected the parent conflict, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn structural_errors_before_a_conflict_come_first() {
         let mut b = TraceBuilder::new(1);
         let a = b.add_region("a");
         let c = b.add_region("b");
         let shared = b.add_region("shared");
         b.push(Event::enter(0.0, 0, a));
         b.push(Event::enter(1.0, 0, shared));
-        b.push(Event::leave(2.0, 0, shared));
-        b.push(Event::leave(3.0, 0, a));
-        b.push(Event::enter(4.0, 0, c));
-        b.push(Event::enter(5.0, 0, shared));
-        b.push(Event::leave(6.0, 0, shared));
-        b.push(Event::leave(7.0, 0, c));
+        b.push(Event::leave(2.0, 0, a));
+        b.push(Event::enter(3.0, 0, c));
+        b.push(Event::enter(4.0, 0, shared));
         assert!(matches!(
             region_parents(&b.build()),
-            Err(TraceError::Malformed { .. })
+            Err(TraceError::UnbalancedNesting { proc: 0, .. })
         ));
+    }
+
+    #[test]
+    fn unclosed_regions_fail_like_validate() {
+        let mut b = TraceBuilder::new(1);
+        let a = b.add_region("a");
+        b.push(Event::enter(0.0, 0, a));
+        let trace = b.build();
+        assert_eq!(
+            region_parents(&trace).unwrap_err().to_string(),
+            trace.validate().unwrap_err().to_string()
+        );
     }
 
     #[test]

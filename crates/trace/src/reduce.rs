@@ -1,19 +1,21 @@
 //! Reduction of traces into measurement matrices.
 //!
 //! The batch functions here run the stream folds over an in-memory
-//! trace: a [`ScanSink`] pass for the activity set and makespan, then
-//! one pass of the trace's events into the fold that does the work
-//! ([`ReduceSink`], [`WindowSink`]). The streaming paths run the same
-//! folds over decoded frames, so there is one implementation of each
-//! reduction.
+//! trace. [`reduce`] makes one pass of the trace's events into a
+//! [`ReduceSink`] seeded with the standard activities, which learns the
+//! trace's extra kinds as it meets them. [`reduce_windows`] first runs
+//! a [`ScanSink`] pass, because a [`WindowSink`] must know the makespan
+//! before its first event, then one pass into the window fold. The
+//! streaming paths run the same folds over decoded frames, so there is
+//! one implementation of each reduction.
 //!
 //! [`ScanSink`]: crate::ScanSink
 //! [`ReduceSink`]: crate::ReduceSink
 //! [`WindowSink`]: crate::WindowSink
 
 use limba_model::{
-    ActivityKind, CountKind, CountMatrix, CountMatrixBuilder, Measurements, MeasurementsBuilder,
-    RegionId,
+    ActivityKind, ActivitySet, CountKind, CountMatrix, CountMatrixBuilder, Measurements,
+    MeasurementsBuilder, RegionId,
 };
 
 use crate::stream::{drive, scan};
@@ -188,7 +190,7 @@ impl ProcWalker {
 /// checks of [`Trace::validate`], run inline) and model errors should
 /// the trace encode invalid values.
 pub fn reduce(trace: &Trace) -> Result<ReducedTrace, TraceError> {
-    let mut fold = ReduceSink::new(scan(trace).activities);
+    let mut fold = ReduceSink::new(ActivitySet::standard());
     drive(trace, &mut fold)?;
     Ok(fold.into_reduced().expect("a finished fold has a result"))
 }

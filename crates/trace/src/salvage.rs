@@ -15,10 +15,10 @@
 //! flag the ranks whose measurements are incomplete instead of silently
 //! comparing full columns against truncated ones.
 
-use limba_model::ActivityKind;
+use limba_model::{ActivityKind, ActivitySet};
 
 use crate::reduce::{Attribution, ReducedTrace};
-use crate::stream::{drive, scan};
+use crate::stream::drive;
 use crate::{Event, EventPayload, SalvageSink, Trace, TraceError};
 
 /// How much of one processor's stream survived into the reduction.
@@ -69,9 +69,9 @@ impl SalvagedTrace {
 }
 
 /// Reduces a possibly-truncated trace, salvaging what validates as a
-/// well-formed prefix and annotating every rank with its coverage: a
-/// [`ScanSink`](crate::ScanSink) pass, then one pass into a
-/// [`SalvageSink`](crate::SalvageSink) — the fold the streamed paths run.
+/// well-formed prefix and annotating every rank with its coverage: one
+/// pass into a [`SalvageSink`](crate::SalvageSink) seeded with the
+/// standard activities — the fold the streamed paths run.
 ///
 /// Truncation damage — regions or activities still open when a rank's
 /// stream ends — is repaired by attributing the open spans up to the
@@ -92,7 +92,7 @@ impl SalvagedTrace {
 /// counts over the supported maximum are a malformed-trace error, and
 /// model errors surface as [`TraceError::Model`].
 pub fn reduce_checked(trace: &Trace) -> Result<SalvagedTrace, TraceError> {
-    let mut fold = SalvageSink::new(scan(trace).activities);
+    let mut fold = SalvageSink::new(ActivitySet::standard());
     drive(trace, &mut fold)?;
     Ok(fold.into_salvaged().expect("a finished fold has a result"))
 }

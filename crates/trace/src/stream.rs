@@ -24,13 +24,26 @@
 //! caller feed the folds: the batch API ([`reduce`](crate::reduce()),
 //! [`reduce_windows`](crate::reduce_windows),
 //! [`reduce_checked`](crate::reduce_checked)) pushes an in-memory
-//! [`Trace`] through a [`ScanSink`] and then through its fold in one
-//! batch, and the streamed paths (`analyze --from-stream`, serve's
-//! spool replay, `simulate --stream-reduce`) push decoded frames
-//! through the same folds. Every matrix cell `(region, activity,
-//! processor)` is written by exactly one rank's walker, which sees that
-//! rank's events in the same order whatever the batching, so both
-//! produce bit-identical results.
+//! [`Trace`] through its fold in one batch, and the streamed paths
+//! (`analyze --from-stream`, serve's spool replay, `simulate
+//! --stream-reduce`) push decoded frames through the same folds. Every
+//! matrix cell `(region, activity, processor)` is written by exactly
+//! one rank's walker, which sees that rank's events in the same order
+//! whatever the batching, so both produce bit-identical results.
+//!
+//! # Learned activity columns
+//!
+//! A reduction's activity axis is the paper's four standard activities
+//! plus the extra kinds the trace begins, in first-seen recording
+//! order. The reducing folds learn it as they go: the set they are
+//! constructed with is their starting columns, and each kind a
+//! `BeginActivity` brings that is not yet a column is appended, in
+//! place, before anything is attributed to it. [`ScanSink`] applies the
+//! same rule, so a fold seeded with [`ActivitySet::standard`] and one
+//! seeded from a scan produce the same matrices, and a full or salvaged
+//! reduction needs one pass over its input. Only a windowed reduction
+//! keeps a [`ScanSink`] pass first: [`WindowSink`] must know the
+//! makespan, which fixes the window width, before its first event.
 //!
 //! The folds cannot sort, so each rank's events must arrive in time
 //! order (the trace input contract; only the text reader sorts, on
@@ -50,7 +63,6 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use limba_model::{
     ActivityKind, ActivitySet, CountMatrixBuilder, MeasurementsBuilder, ModelError, RegionId,
-    STANDARD_ACTIVITIES,
 };
 
 use crate::binary::{put_event, try_event, Fnv, MAX_PROCESSORS};
@@ -956,13 +968,14 @@ pub fn to_stream_bytes(trace: &Trace, frame_events: usize) -> Result<Bytes, Trac
 // Folds
 // ---------------------------------------------------------------------
 
-/// What one O(1)-memory pass over a stream learns: everything the
-/// reducing folds need to be constructed — the run's makespan (window
-/// width) and its activity set (matrix columns).
+/// What one O(1)-memory pass over a stream learns: the run's makespan
+/// (the window width a [`WindowSink`] needs up front), its activity set
+/// (the columns every reducing fold ends with), and its totals.
 ///
-/// Produced by [`ScanSink`]; the pass before every reducing fold. The
-/// simulator being deterministic (and a stored stream or an in-memory
-/// trace being static), the second pass sees the identical events.
+/// Produced by [`ScanSink`]: the pass before a windowed fold, or a
+/// sink teed beside a single-pass fold. The simulator being
+/// deterministic (and a stored stream or an in-memory trace being
+/// static), a second pass sees the identical events.
 #[derive(Debug, Clone)]
 pub struct StreamScan {
     /// Largest event timestamp (and at least `0.0`).
@@ -983,7 +996,7 @@ pub struct StreamScan {
 #[derive(Debug, Default)]
 pub struct ScanSink {
     makespan: f64,
-    kinds: Vec<ActivityKind>,
+    activities: ActivitySet,
     events: u64,
     processors: usize,
     region_names: Vec<String>,
@@ -993,14 +1006,7 @@ pub struct ScanSink {
 impl ScanSink {
     /// Creates a scan pass.
     pub fn new() -> Self {
-        ScanSink {
-            makespan: 0.0,
-            kinds: STANDARD_ACTIVITIES.to_vec(),
-            events: 0,
-            processors: 0,
-            region_names: Vec::new(),
-            finished: false,
-        }
+        Self::default()
     }
 
     /// The scan result, once [`TraceSink::finish`] has run.
@@ -1010,7 +1016,7 @@ impl ScanSink {
         }
         Some(StreamScan {
             makespan: self.makespan,
-            activities: ActivitySet::new(self.kinds),
+            activities: self.activities,
             events: self.events,
             processors: self.processors,
             region_names: self.region_names,
@@ -1028,11 +1034,7 @@ impl TraceSink for ScanSink {
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
         for e in events {
             self.makespan = f64::max(self.makespan, e.time);
-            if let EventPayload::BeginActivity { kind } = e.payload {
-                if !self.kinds.contains(&kind) {
-                    self.kinds.push(kind);
-                }
-            }
+            learn(&mut self.activities, e);
         }
         self.events += events.len() as u64;
         Ok(())
@@ -1044,18 +1046,29 @@ impl TraceSink for ScanSink {
     }
 }
 
+/// The activity kind `e` begins when `activities` lacks it, after
+/// appending it there: the one rule by which [`ScanSink`] and the
+/// reducing folds learn their columns, in first-seen recording order.
+fn learn(activities: &mut ActivitySet, e: &Event) -> Option<ActivityKind> {
+    match e.payload {
+        EventPayload::BeginActivity { kind } if activities.insert(kind) => Some(kind),
+        _ => None,
+    }
+}
+
 /// Pushes an in-memory trace through `sink` as one stream — `begin`,
 /// a single `events` batch, `finish`. This is how the batch API runs:
-/// [`reduce`](crate::reduce()), [`reduce_windows`](crate::reduce_windows)
-/// and [`reduce_checked`](crate::reduce_checked) are a [`scan`] and one
-/// `drive` into their fold.
+/// [`reduce`](crate::reduce()) and [`reduce_checked`](crate::reduce_checked)
+/// are one `drive` into their fold, [`reduce_windows`](crate::reduce_windows)
+/// a [`scan`] and one `drive`.
 pub(crate) fn drive(trace: &Trace, sink: &mut dyn TraceSink) -> Result<(), TraceError> {
     sink.begin(trace.processors(), trace.region_names())?;
     sink.events(trace.events())?;
     sink.finish()
 }
 
-/// The batch API's first pass: a [`ScanSink`] over the trace.
+/// The windowed batch reduction's first pass: a [`ScanSink`] over the
+/// trace.
 pub(crate) fn scan(trace: &Trace) -> StreamScan {
     let mut sink = ScanSink::new();
     drive(trace, &mut sink).expect("the scan accepts every stream");
@@ -1151,6 +1164,12 @@ impl RankChecks {
             EventPayload::MessageSend { .. } | EventPayload::MessageRecv { .. } => {}
         }
         Ok(())
+    }
+
+    /// The innermost open region of rank `proc` (`None` at top level
+    /// or for a processor out of range).
+    pub(crate) fn innermost(&self, proc: u32) -> Option<usize> {
+        self.ranks.get(proc as usize)?.stack.last().copied()
     }
 
     /// Ends the stream: the first rank left with an open activity or
@@ -1272,8 +1291,8 @@ fn build((mb, cb): (MeasurementsBuilder, CountMatrixBuilder)) -> Result<ReducedT
 /// [`TraceError`], never a panic. For lenient salvage of truncated
 /// streams use [`SalvageSink`].
 ///
-/// Construct it with the stream's [`ActivitySet`] (from a first-pass
-/// [`ScanSink`]).
+/// Construct it with its starting activity columns (see [Learned
+/// activity columns](self#learned-activity-columns)).
 pub struct ReduceSink {
     activities: ActivitySet,
     builders: Option<Latched<(MeasurementsBuilder, CountMatrixBuilder)>>,
@@ -1283,8 +1302,9 @@ pub struct ReduceSink {
 }
 
 impl ReduceSink {
-    /// Creates the fold for a stream using `activities` (the scan
-    /// pass's [`StreamScan::activities`]).
+    /// Creates the fold for a stream starting from the `activities`
+    /// columns: [`ActivitySet::standard`], or a scan's
+    /// [`StreamScan::activities`]. Later kinds are appended as begun.
     pub fn new(activities: ActivitySet) -> Self {
         ReduceSink {
             activities,
@@ -1323,6 +1343,9 @@ impl TraceSink for ReduceSink {
             .ok_or_else(|| malformed("events before begin"))?;
         for e in events {
             self.checks.step(e)?;
+            if let Some(kind) = learn(&mut self.activities, e) {
+                builders.target.0.add_activity(kind);
+            }
             self.walkers[e.proc as usize].step(e, &mut builders.sink(|b, a| record(b, e.proc, a)));
             builders.check()?;
         }
@@ -1347,8 +1370,9 @@ impl TraceSink for ReduceSink {
 /// [`ReduceSink`].
 ///
 /// Needs the run's horizon (makespan) up front to fix the window width
-/// — which is exactly what the first-pass [`ScanSink`] provides. Memory
-/// is O(windows × regions × activities × processors) — the size of the
+/// — which is exactly what the first-pass [`ScanSink`] provides; its
+/// activity columns it learns like the other folds. Memory is
+/// O(windows × regions × activities × processors) — the size of the
 /// *output* — independent of event count.
 pub struct WindowSink {
     windows: usize,
@@ -1362,16 +1386,17 @@ pub struct WindowSink {
 }
 
 impl WindowSink {
-    /// Creates the fold: `windows` equal slices of `[0, makespan]`,
-    /// using `activities` (both from the scan pass).
+    /// Creates the fold: `windows` equal slices of `[0, makespan]`
+    /// (the scan pass's [`StreamScan::makespan`]), starting from the
+    /// `activities` columns as [`ReduceSink::new`] does.
     ///
     /// # Errors
     ///
-    /// Degenerate requests: zero windows, or a stream spanning no time.
+    /// Degenerate requests: zero windows (see
+    /// [`check_count`](WindowSink::check_count)), or a stream spanning
+    /// no time.
     pub fn new(windows: usize, makespan: f64, activities: ActivitySet) -> Result<Self, TraceError> {
-        if windows == 0 {
-            return Err(malformed("window count must be positive"));
-        }
+        Self::check_count(windows)?;
         if makespan <= 0.0 {
             return Err(malformed("trace spans no time, cannot window"));
         }
@@ -1385,6 +1410,20 @@ impl WindowSink {
             began: false,
             result: None,
         })
+    }
+
+    /// Rejects a window count no fold can slice into, with the error
+    /// [`new`](WindowSink::new) gives — so a caller can refuse a bad
+    /// request before it runs the scan pass.
+    ///
+    /// # Errors
+    ///
+    /// Zero windows.
+    pub fn check_count(windows: usize) -> Result<(), TraceError> {
+        if windows == 0 {
+            return Err(malformed("window count must be positive"));
+        }
+        Ok(())
     }
 
     /// The per-window reductions, once [`TraceSink::finish`] has run.
@@ -1415,6 +1454,11 @@ impl TraceSink for WindowSink {
         }
         for e in events {
             self.checks.step(e)?;
+            if let Some(kind) = learn(&mut self.activities, e) {
+                for (mb, _) in &mut self.builders.target {
+                    mb.add_activity(kind);
+                }
+            }
             let width = self.width;
             self.walkers[e.proc as usize].step(
                 e,
@@ -1463,8 +1507,8 @@ pub struct SalvageSink {
 }
 
 impl SalvageSink {
-    /// Creates the fold for a stream using `activities` (the scan
-    /// pass's [`StreamScan::activities`]).
+    /// Creates the fold for a stream starting from the `activities`
+    /// columns, as [`ReduceSink::new`] does.
     pub fn new(activities: ActivitySet) -> Self {
         SalvageSink {
             activities,
@@ -1525,6 +1569,9 @@ impl TraceSink for SalvageSink {
                 });
             }
             *last = e.time;
+            if let Some(kind) = learn(&mut self.activities, e) {
+                builders.target.0.add_activity(kind);
+            }
             walker.step(index, e, &mut builders.sink(|b, a| record(b, e.proc, a)))?;
             builders.check()?;
         }
@@ -1732,6 +1779,69 @@ mod tests {
             let streamed = fold.into_reduced().unwrap();
             assert_eq!(streamed.measurements, batch.measurements);
             assert_eq!(streamed.counts, batch.counts);
+        }
+    }
+
+    #[test]
+    fn folds_learn_the_columns_a_scan_lists() {
+        // Extras first begun in the order MemoryAccess, Io, on ranks
+        // that interleave; the standard Collective comes last.
+        let mut b = TraceBuilder::new(2);
+        let r = b.add_region("r");
+        b.push(Event::enter(0.0, 0, r));
+        b.push(Event::enter(0.0, 1, r));
+        b.push(Event::begin_activity(1.0, 1, ActivityKind::MemoryAccess));
+        b.push(Event::begin_activity(2.0, 0, ActivityKind::Io));
+        b.push(Event::end_activity(3.0, 0, ActivityKind::Io));
+        b.push(Event::end_activity(4.0, 1, ActivityKind::MemoryAccess));
+        b.push(Event::begin_activity(5.0, 0, ActivityKind::Collective));
+        b.push(Event::end_activity(6.0, 0, ActivityKind::Collective));
+        b.push(Event::leave(7.0, 0, r));
+        b.push(Event::leave(8.0, 1, r));
+        let t = b.build();
+        let mut scan = ScanSink::new();
+        stream_trace(&t, 100, &mut scan);
+        let scan = scan.into_scan().unwrap();
+        assert_eq!(
+            scan.activities.as_slice()[4..],
+            [ActivityKind::MemoryAccess, ActivityKind::Io]
+        );
+        for frame in [1, 3, 100] {
+            let mut seeded = ReduceSink::new(scan.activities.clone());
+            let mut learned = ReduceSink::new(ActivitySet::standard());
+            stream_trace(&t, frame, &mut seeded);
+            stream_trace(&t, frame, &mut learned);
+            let (seeded, learned) = (
+                seeded.into_reduced().unwrap(),
+                learned.into_reduced().unwrap(),
+            );
+            assert_eq!(learned.measurements, seeded.measurements);
+            assert_eq!(learned.counts, seeded.counts);
+
+            let mut seeded = WindowSink::new(3, scan.makespan, scan.activities.clone()).unwrap();
+            let mut learned = WindowSink::new(3, scan.makespan, ActivitySet::standard()).unwrap();
+            stream_trace(&t, frame, &mut seeded);
+            stream_trace(&t, frame, &mut learned);
+            for (l, s) in learned
+                .into_windows()
+                .unwrap()
+                .iter()
+                .zip(&seeded.into_windows().unwrap())
+            {
+                assert_eq!(l.measurements, s.measurements);
+                assert_eq!(l.counts, s.counts);
+            }
+
+            let mut seeded = SalvageSink::new(scan.activities.clone());
+            let mut learned = SalvageSink::new(ActivitySet::standard());
+            stream_trace(&t, frame, &mut seeded);
+            stream_trace(&t, frame, &mut learned);
+            let (seeded, learned) = (
+                seeded.into_salvaged().unwrap(),
+                learned.into_salvaged().unwrap(),
+            );
+            assert_eq!(learned.reduced.measurements, seeded.reduced.measurements);
+            assert_eq!(learned.coverage, seeded.coverage);
         }
     }
 

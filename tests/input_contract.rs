@@ -6,12 +6,15 @@
 //! incremental decoder fed 1, 7 and 64 KiB at a time into the folds,
 //! and serve's spool replay. The text form of a trace gives the result
 //! of its per-rank-sorted form, because the text reader sorts each rank
-//! on load.
+//! on load. The one-pass folds, which learn their activity columns as
+//! they meet new kinds, agree with folds seeded from a scan pass, also
+//! on traces whose extra activities first appear in either order, only
+//! on a truncated rank, or still open at the end.
 
 use std::path::PathBuf;
 
 use limba::analysis::Analyzer;
-use limba::model::{ActivityKind, CountMatrix, Measurements, RegionId};
+use limba::model::{ActivityKind, ActivitySet, CountMatrix, Measurements, RegionId};
 use limba::serve::{replay, ServeError};
 use limba::stats::dispersion::DispersionKind;
 use limba::stats::rank::RankingCriterion;
@@ -156,6 +159,90 @@ fn rank_events(rng: &mut Rng, proc: u32, regions: usize) -> Vec<Event> {
     events
 }
 
+/// The extra activities a trace may carry beyond the standard four.
+const EXTRAS: [ActivityKind; 2] = [ActivityKind::Io, ActivityKind::MemoryAccess];
+
+/// How one extra activity appears in [`extras_trace`].
+#[derive(Clone, Copy, PartialEq)]
+enum Extra {
+    /// Begun and ended on a rank whose stream completes.
+    Complete,
+    /// Begun and ended on a rank cut short afterwards, its region open.
+    Truncated,
+    /// Begun on a rank whose stream ends before the activity does.
+    Open,
+}
+
+/// A trace that is well formed but for truncation, carrying `Io` and
+/// `MemoryAccess` each on a rank of its own, placed as the returned
+/// modes say. Every rank also walks standard activities, and ranks
+/// interleave at random in recording order, so either extra may be
+/// seen first.
+fn extras_trace(seed: u64) -> (Trace, [Extra; 2]) {
+    let mut rng = Rng(seed);
+    let procs = 3 + rng.below(2);
+    let regions = 1 + rng.below(2);
+    let mut b = TraceBuilder::new(procs);
+    for r in 0..regions {
+        b.add_region(format!("region {r}"));
+    }
+    let modes = [(); 2].map(|()| [Extra::Complete, Extra::Truncated, Extra::Open][rng.below(3)]);
+    let extra_ranks = {
+        let first = rng.below(procs);
+        [first, (first + 1 + rng.below(procs - 1)) % procs]
+    };
+    let mut ranks: Vec<Vec<Event>> = Vec::new();
+    for p in 0..procs {
+        let proc = p as u32;
+        let mut clock = 0.0;
+        let mut tick = |rng: &mut Rng| {
+            clock += [0.25, 0.5, 1.0][rng.below(3)];
+            clock
+        };
+        let mut events = Vec::new();
+        let mut visit = |rng: &mut Rng, kind: ActivityKind, events: &mut Vec<Event>| {
+            let region = RegionId::new(rng.below(regions));
+            events.push(Event::enter(tick(rng), proc, region));
+            events.push(Event::begin_activity(tick(rng), proc, kind));
+            events.push(Event::end_activity(tick(rng), proc, kind));
+            events.push(Event::leave(tick(rng), proc, region));
+        };
+        let extra = extra_ranks.iter().position(|&r| r == p);
+        let first = extra.filter(|&i| modes[i] == Extra::Complete && rng.chance(50));
+        if let Some(i) = first {
+            visit(&mut rng, EXTRAS[i], &mut events);
+        }
+        for _ in 0..rng.below(4) {
+            let kind = ActivityKind::ALL[rng.below(4)];
+            visit(&mut rng, kind, &mut events);
+        }
+        if let Some(i) = extra.filter(|&i| first != Some(i)) {
+            visit(&mut rng, EXTRAS[i], &mut events);
+            match modes[i] {
+                Extra::Complete => {}
+                // Drop the leave: the region stays open.
+                Extra::Truncated => {
+                    events.pop();
+                }
+                // Drop the end and the leave as well.
+                Extra::Open => {
+                    events.truncate(events.len() - 2);
+                }
+            }
+        }
+        ranks.push(events);
+    }
+    let mut next = vec![0usize; procs];
+    while let Some(p) = {
+        let open: Vec<usize> = (0..procs).filter(|&p| next[p] < ranks[p].len()).collect();
+        (!open.is_empty()).then(|| open[rng.below(open.len())])
+    } {
+        b.push(ranks[p][next[p]]);
+        next[p] += 1;
+    }
+    (b.build(), modes)
+}
+
 /// A stable per-rank time sort in which each rank keeps the slots it
 /// occupies — what the text reader does on load.
 fn sort_ranks(trace: &Trace) -> Trace {
@@ -269,6 +356,46 @@ fn streamed_salvage(bytes: &[u8], chunk: usize) -> Result<SalvagedTrace, TraceEr
     feed(bytes, chunk, &mut scan)?;
     let mut fold = SalvageSink::new(scan.into_scan().expect("scanned").activities);
     feed(bytes, chunk, &mut fold)?;
+    Ok(fold.into_salvaged().expect("folded"))
+}
+
+/// Drives an in-memory trace's events into `sink`, `batch` at a time.
+fn drive(trace: &Trace, batch: usize, sink: &mut dyn TraceSink) -> Result<(), TraceError> {
+    sink.begin(trace.processors(), trace.region_names())?;
+    for events in trace.events().chunks(batch) {
+        sink.events(events)?;
+    }
+    sink.finish()
+}
+
+/// The one-pass salvage of a trace's events: the fold alone, seeded
+/// with the standard activities.
+fn one_pass_salvage(trace: &Trace, batch: usize) -> Result<SalvagedTrace, TraceError> {
+    let mut fold = SalvageSink::new(ActivitySet::standard());
+    drive(trace, batch, &mut fold)?;
+    Ok(fold.into_salvaged().expect("folded"))
+}
+
+/// The scan-seeded salvage of a trace's events: a scan pass, then the
+/// fold seeded with its columns.
+fn scan_seeded_salvage(trace: &Trace, batch: usize) -> Result<SalvagedTrace, TraceError> {
+    let mut scan = ScanSink::new();
+    drive(trace, batch, &mut scan)?;
+    let mut fold = SalvageSink::new(scan.into_scan().expect("scanned").activities);
+    drive(trace, batch, &mut fold)?;
+    Ok(fold.into_salvaged().expect("folded"))
+}
+
+/// The offline salvage of a stream cut short: a scan pass, then a
+/// scan-seeded fold, each over the events that decode from `bytes` and
+/// closed where they end.
+fn salvaged_prefix(bytes: &[u8]) -> Result<SalvagedTrace, TraceError> {
+    let mut scan = ScanSink::new();
+    StreamDecoder::new().feed(bytes, &mut scan)?;
+    scan.finish()?;
+    let mut fold = SalvageSink::new(scan.into_scan().expect("scanned").activities);
+    StreamDecoder::new().feed(bytes, &mut fold)?;
+    fold.finish()?;
     Ok(fold.into_salvaged().expect("folded"))
 }
 
@@ -391,6 +518,67 @@ proptest! {
         }
     }
 
+    /// The one-pass salvage fold learns the columns a scan pass lists:
+    /// on arbitrary traces and on traces with extra activities, it gives
+    /// the scan-seeded fold's and the batch reduction's matrices,
+    /// coverage or first error, in batches of every size — and, once
+    /// the bytes decode, from the decoder at every feed size. (A
+    /// one-pass reader of bytes that do not decode may meet a fold
+    /// error before the damage; serve's replay holds such errors back.)
+    #[test]
+    fn one_pass_folds_match_scan_seeded_folds(seed in 0u64..u64::MAX) {
+        for (label, trace) in [("arbitrary", arbitrary_trace(seed)), ("extras", extras_trace(seed).0)] {
+            let batch = salvage_outcome(reduce_checked(&trace));
+            for size in [1, 7, trace.events().len().max(1)] {
+                let one_pass = salvage_outcome(one_pass_salvage(&trace, size));
+                prop_assert_eq!(
+                    &one_pass,
+                    &salvage_outcome(scan_seeded_salvage(&trace, size)),
+                    "{} trace, batches of {}", label, size
+                );
+                prop_assert_eq!(&one_pass, &batch, "{} trace, batches of {}", label, size);
+            }
+            let bytes = stream::to_stream_bytes(&trace, 5).expect("encodes");
+            let Ok(decoded) = binary::from_bytes(&bytes) else {
+                continue;
+            };
+            let batch = salvage_outcome(reduce_checked(&decoded));
+            for chunk in FEEDS {
+                let mut fold = SalvageSink::new(ActivitySet::standard());
+                let one_pass = feed(&bytes, chunk, &mut fold)
+                    .map(|()| fold.into_salvaged().expect("folded"));
+                prop_assert_eq!(
+                    &salvage_outcome(one_pass),
+                    &batch,
+                    "{} trace, feeds of {}", label, chunk
+                );
+            }
+        }
+    }
+
+    /// Serve's one-pass replay prints the offline scan-and-fold report
+    /// for a spool with extra activities, whole or cut short.
+    #[test]
+    fn served_reports_match_offline_scan_and_fold(seed in 0u64..u64::MAX) {
+        let (trace, _) = extras_trace(seed);
+        let bytes = stream::to_stream_bytes(&trace, 3).expect("encodes").to_vec();
+        let spool = spool_path(&format!("{seed}-extras.trc"));
+        std::fs::write(&spool, &bytes).expect("write spool");
+        prop_assert_eq!(
+            served(replay::complete_report(&StdVfs, &spool)),
+            report(streamed_salvage(&bytes, 64 * 1024)),
+            "complete report"
+        );
+        let cut = Rng(seed).below(bytes.len());
+        std::fs::write(&spool, &bytes[..cut]).expect("write cut spool");
+        prop_assert_eq!(
+            served(replay::partial_report(&StdVfs, &spool)),
+            report(salvaged_prefix(&bytes[..cut])),
+            "partial report, cut at {}", cut
+        );
+        std::fs::remove_file(&spool).ok();
+    }
+
     /// Text sorts each rank on load: a text trace reduces like its
     /// per-rank-sorted form does in binary, and non-finite times fail
     /// with the binary reader's named error.
@@ -449,4 +637,35 @@ fn the_generator_covers_every_kind_of_input() {
     ] {
         assert!(count >= 20, "only {count} of 400 traces are {what}");
     }
+}
+
+/// The extras generator covers what the one-pass folds must learn:
+/// either extra seen first, and each extra complete, only on a
+/// truncated rank, and left open at the end.
+#[test]
+fn the_extras_generator_covers_every_placement() {
+    let mut orders = [0; 2];
+    let mut placements = [0; 3];
+    for seed in 0..200 {
+        let (trace, modes) = extras_trace(seed);
+        let columns = reduce_checked(&trace)
+            .expect("extras traces salvage")
+            .reduced
+            .measurements
+            .activities()
+            .clone();
+        assert_eq!(columns.len(), 6, "seed {seed}");
+        orders[usize::from(columns.kind(4) == Some(ActivityKind::MemoryAccess))] += 1;
+        for mode in modes {
+            placements[mode as usize] += 1;
+        }
+    }
+    assert!(
+        orders.iter().all(|&n| n >= 40),
+        "first-seen orders {orders:?}"
+    );
+    assert!(
+        placements.iter().all(|&n| n >= 60),
+        "placements {placements:?}"
+    );
 }
