@@ -1,8 +1,8 @@
 //! Bench runner for the simulator core: times the event-driven engine
 //! against the reference polling engine on the CFD proxy (16 ranks up
 //! to 4k, plus a 64k-rank memory smoke) and the synthetic workload
-//! suite, verifies that event, polling, and parallel-event runs produce
-//! identical traces, and writes the results as `BENCH_simulator.json`.
+//! suite, verifies that event and polling runs produce identical
+//! traces, and writes the results as `BENCH_simulator.json`.
 //!
 //! Usage: `bench_simulator [--quick] [--ranks N [--memory]] [--out PATH]`
 //!
@@ -281,7 +281,7 @@ fn run_case(case: &Case, reps: usize) -> Timed {
     // Warmup (page in code, size allocator pools) doubles as the
     // footprint probe and the engine-identity check: the event engine's
     // peak live bytes, and — on speed cases — bit-identical output
-    // across event, polling, and parallel event (4 worker threads).
+    // across the event and polling engines.
     let (event_out, peak_bytes) = with_peak(run_event);
     if case.kind == Kind::Memory {
         let start = Instant::now();
@@ -307,23 +307,10 @@ fn run_case(case: &Case, reps: usize) -> Timed {
         .expect("polling run")
     };
     let polling_out = run_polling();
-    let par_out = sim
-        .run_parallel_configured(
-            &case.program,
-            case.faults.as_ref(),
-            case.balance.as_ref(),
-            None,
-            4,
-        )
-        .expect("parallel event run");
     let identical = event_out.trace == polling_out.trace
         && event_out.stats == polling_out.stats
         && event_out.faults == polling_out.faults
-        && event_out.balance == polling_out.balance
-        && event_out.trace == par_out.trace
-        && event_out.stats == par_out.stats
-        && event_out.faults == par_out.faults
-        && event_out.balance == par_out.balance;
+        && event_out.balance == polling_out.balance;
     // Calibrate a batch size so every timed sample spans at least a
     // couple of milliseconds: the microsecond-scale cases are pure
     // timer granularity and allocator-state noise when timed one run

@@ -200,7 +200,6 @@ pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let sim = Simulator::new(scenario.config.clone());
     let output = match engine {
         Engine::Event => sim.run(&scenario.program),
-        Engine::EventPar => sim.run_event_parallel(&scenario.program, jobs),
         Engine::Polling => sim.run_polling(&scenario.program),
     }
     .map_err(|e| e.to_string())?;

@@ -111,6 +111,14 @@ pub fn push(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         }
     };
     let run = parsed.get("run").unwrap_or(&default_run).to_string();
+    // Checked before connecting, so a bad engine is a usage error rather
+    // than a half-opened run. The polling engine retires the whole run
+    // before recording, so it has nothing to stream.
+    if matches!(source, Source::Workload(_))
+        && Engine::parse(parsed.get("engine").unwrap_or("event"))? == Engine::Polling
+    {
+        return Err("push --workload needs --engine event".into());
+    }
 
     let session = PushSession::connect(&addr, &tenant, &run).map_err(|e| e.to_string())?;
     if session.offset() > 0 {
@@ -134,12 +142,10 @@ pub fn push(argv: &[String]) -> Result<crate::CmdOutcome, String> {
                 None => Imbalance::None,
             };
             let seed: u64 = parsed.get_or("seed", 0)?;
-            let jobs: usize = parsed.get_or("jobs", 1)?;
             let frame_events: usize = parsed.get_or("stream-frame-events", 4096)?;
             if frame_events == 0 {
                 return Err("--stream-frame-events must be positive".into());
             }
-            let engine = Engine::parse(parsed.get("engine").unwrap_or("event"))?;
             let program = build_program(&w, ranks, iterations, imbalance, seed)?;
             let sim = Simulator::new(MachineConfig::new(ranks));
             // The simulation streams straight into the socket; on
@@ -148,31 +154,8 @@ pub fn push(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             // missing suffix.
             session
                 .push_sink(|sink| {
-                    let res = match engine {
-                        Engine::Event => sim.run_streaming_configured(
-                            &program,
-                            None,
-                            None,
-                            None,
-                            sink,
-                            frame_events,
-                        ),
-                        Engine::EventPar => sim.run_streaming_parallel_configured(
-                            &program,
-                            None,
-                            None,
-                            None,
-                            jobs,
-                            sink,
-                            frame_events,
-                        ),
-                        Engine::Polling => {
-                            return Err(limba_serve::ServeError::State(
-                                "push --workload needs --engine event or event-par".into(),
-                            ));
-                        }
-                    };
-                    res.map(|_| ())
+                    sim.run_streaming_configured(&program, None, None, None, sink, frame_events)
+                        .map(|_| ())
                         .map_err(|e| limba_serve::ServeError::State(e.to_string()))
                 })
                 .map_err(|e| e.to_string())?

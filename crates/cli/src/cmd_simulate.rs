@@ -84,9 +84,6 @@ pub(crate) fn build_program(
 pub(crate) enum Engine {
     /// Event-driven wakeup-list scheduler (default).
     Event,
-    /// Rank-sharded parallel event scheduler; byte-identical output to
-    /// [`Engine::Event`], `--jobs` controls the worker count.
-    EventPar,
     /// Reference polling scheduler, kept for cross-checking.
     Polling,
 }
@@ -95,17 +92,16 @@ impl Engine {
     pub(crate) fn parse(spec: &str) -> Result<Engine, String> {
         match spec {
             "event" => Ok(Engine::Event),
-            "event-par" => Ok(Engine::EventPar),
             "polling" => Ok(Engine::Polling),
             other => Err(format!(
-                "unknown engine {other:?} (expected \"event\", \"event-par\", or \"polling\")"
+                "unknown engine {other:?} (expected \"event\" or \"polling\")"
             )),
         }
     }
 }
 
 fn simulate(program: &Program, ranks: usize) -> Result<limba_mpisim::SimOutput, String> {
-    simulate_with(program, ranks, Engine::Event, None, None, 1)
+    simulate_with(program, ranks, Engine::Event, None, None)
 }
 
 fn simulate_with(
@@ -114,12 +110,10 @@ fn simulate_with(
     engine: Engine,
     faults: Option<&FaultPlan>,
     balance: Option<&BalancePlan>,
-    jobs: usize,
 ) -> Result<limba_mpisim::SimOutput, String> {
     let sim = Simulator::new(MachineConfig::new(ranks));
     match engine {
         Engine::Event => sim.run_configured(program, faults, balance, None),
-        Engine::EventPar => sim.run_parallel_configured(program, faults, balance, None, jobs),
         Engine::Polling => sim.run_polling_configured(program, faults, balance, None),
     }
     .map_err(|e| e.to_string())
@@ -136,7 +130,7 @@ pub(crate) fn load_fault_plan(
     engine: Engine,
 ) -> Result<FaultPlan, String> {
     let plan = if let Some(name) = spec.strip_prefix("preset:") {
-        let horizon = simulate_with(program, ranks, engine, None, None, 1)?
+        let horizon = simulate_with(program, ranks, engine, None, None)?
             .stats
             .makespan;
         limba_workloads::faults::preset(name, ranks, horizon).ok_or_else(|| {
@@ -522,7 +516,6 @@ fn run_stream_reduce(
     engine: Engine,
     faults: Option<&FaultPlan>,
     balance: Option<&BalancePlan>,
-    jobs: usize,
     replications: usize,
 ) -> Result<crate::CmdOutcome, String> {
     if replications > 1 {
@@ -532,15 +525,11 @@ fn run_stream_reduce(
         return Err("--stream-reduce writes no tracefile; drop --out/--format".into());
     }
     // The polling engine retires the whole run before recording, so it
-    // has nothing to stream; the event engines emit frames as rounds
+    // has nothing to stream; the event engine emits frames as rounds
     // retire.
-    let stream_jobs = match engine {
-        Engine::Event => 1,
-        Engine::EventPar => jobs,
-        Engine::Polling => {
-            return Err("--stream-reduce needs --engine event or event-par".into());
-        }
-    };
+    if engine == Engine::Polling {
+        return Err("--stream-reduce needs --engine event".into());
+    }
     let windows: usize = parsed.get_or("windows", 0)?;
     let frame_events: usize = parsed.get_or("stream-frame-events", 4096)?;
     if frame_events == 0 {
@@ -553,7 +542,6 @@ fn run_stream_reduce(
 
     let cfg = limba_stream::StreamConfig {
         frame_events,
-        jobs: stream_jobs,
         windows: (windows > 0).then_some(windows),
         ..limba_stream::StreamConfig::default()
     };
@@ -656,7 +644,6 @@ fn run_stream_out(
     engine: Engine,
     faults: Option<&FaultPlan>,
     balance: Option<&BalancePlan>,
-    jobs: usize,
     replications: usize,
 ) -> Result<crate::CmdOutcome, String> {
     if replications > 1 {
@@ -665,8 +652,8 @@ fn run_stream_out(
     if parsed.get("out").is_some() || parsed.get("format").is_some() {
         return Err("--stream-out names the tracefile itself; drop --out/--format".into());
     }
-    if matches!(engine, Engine::Polling) {
-        return Err("--stream-out needs --engine event or event-par".into());
+    if engine == Engine::Polling {
+        return Err("--stream-out needs --engine event".into());
     }
     let frame_events: usize = parsed.get_or("stream-frame-events", 4096)?;
     if frame_events == 0 {
@@ -675,22 +662,9 @@ fn run_stream_out(
     let path = parsed.get("stream-out").unwrap_or("-");
     let sim = Simulator::new(MachineConfig::new(ranks));
 
-    let run_into = |sink: &mut dyn limba_trace::TraceSink| match engine {
-        Engine::Event => sim
-            .run_streaming_configured(program, faults, balance, None, sink, frame_events)
-            .map_err(|e| e.to_string()),
-        Engine::EventPar => sim
-            .run_streaming_parallel_configured(
-                program,
-                faults,
-                balance,
-                None,
-                jobs,
-                sink,
-                frame_events,
-            )
-            .map_err(|e| e.to_string()),
-        Engine::Polling => unreachable!("rejected above"),
+    let run_into = |sink: &mut dyn limba_trace::TraceSink| {
+        sim.run_streaming_configured(program, faults, balance, None, sink, frame_events)
+            .map_err(|e| e.to_string())
     };
 
     let (output, to_stdout) = if path == "-" {
@@ -799,7 +773,6 @@ pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             engine,
             faults.as_ref(),
             balance.as_ref(),
-            jobs,
             replications,
         );
     }
@@ -813,7 +786,6 @@ pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             engine,
             faults.as_ref(),
             balance.as_ref(),
-            jobs,
             replications,
         );
     }
@@ -837,14 +809,7 @@ pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         return Ok(Supervision::outcome_of(&manifest));
     }
 
-    let output = simulate_with(
-        &program,
-        ranks,
-        engine,
-        faults.as_ref(),
-        balance.as_ref(),
-        jobs,
-    )?;
+    let output = simulate_with(&program, ranks, engine, faults.as_ref(), balance.as_ref())?;
     write_trace(&output.trace, &out, &format)?;
     println!(
         "simulated {workload} on {ranks} ranks: makespan {:.4} s, {} messages, {} bytes",
@@ -1059,19 +1024,15 @@ mod tests {
     #[test]
     fn engine_flag_parses_and_engines_agree() {
         assert_eq!(Engine::parse("event").unwrap(), Engine::Event);
-        assert_eq!(Engine::parse("event-par").unwrap(), Engine::EventPar);
         assert_eq!(Engine::parse("polling").unwrap(), Engine::Polling);
         assert!(Engine::parse("turbo").is_err());
+        let err = Engine::parse("event-par").unwrap_err();
+        assert!(err.contains("unknown engine"), "{err}");
 
         let p = build_program("cfd", 6, Some(1), Imbalance::LinearSkew { spread: 0.3 }, 7).unwrap();
-        let event = simulate_with(&p, 6, Engine::Event, None, None, 1).unwrap();
-        let polling = simulate_with(&p, 6, Engine::Polling, None, None, 1).unwrap();
+        let event = simulate_with(&p, 6, Engine::Event, None, None).unwrap();
+        let polling = simulate_with(&p, 6, Engine::Polling, None, None).unwrap();
         assert_eq!(event.trace, polling.trace);
-        for jobs in [1, 2, 4] {
-            let par = simulate_with(&p, 6, Engine::EventPar, None, None, jobs).unwrap();
-            assert_eq!(par.trace, event.trace, "jobs={jobs}");
-            assert_eq!(par.stats, event.stats, "jobs={jobs}");
-        }
     }
 
     #[test]
@@ -1098,16 +1059,13 @@ mod tests {
         assert!(load_fault_plan(path.to_str().unwrap(), &p, 4, Engine::Event).is_err());
         std::fs::remove_file(&path).ok();
 
-        // All three engines honor the same plan identically.
+        // Both engines honor the same plan identically.
         let plan = load_fault_plan("preset:chaos", &p, 4, Engine::Event).unwrap();
-        let event = simulate_with(&p, 4, Engine::Event, Some(&plan), None, 1).unwrap();
-        let polling = simulate_with(&p, 4, Engine::Polling, Some(&plan), None, 1).unwrap();
-        let par = simulate_with(&p, 4, Engine::EventPar, Some(&plan), None, 4).unwrap();
+        let event = simulate_with(&p, 4, Engine::Event, Some(&plan), None).unwrap();
+        let polling = simulate_with(&p, 4, Engine::Polling, Some(&plan), None).unwrap();
         assert_eq!(event.trace, polling.trace);
         assert_eq!(event.stats, polling.stats);
         assert_eq!(event.faults, polling.faults);
-        assert_eq!(par.trace, event.trace);
-        assert_eq!(par.faults, event.faults);
         assert!(!event.faults.is_clean());
         assert!(describe_faults(&event.faults).contains("crashed"));
     }
@@ -1138,16 +1096,13 @@ mod tests {
         // Both engines honor the same plan identically, and balancing
         // improves an imbalanced run.
         let p = build_program("cfd", 6, Some(2), Imbalance::LinearSkew { spread: 0.4 }, 7).unwrap();
-        let base = simulate_with(&p, 6, Engine::Event, None, None, 1).unwrap();
+        let base = simulate_with(&p, 6, Engine::Event, None, None).unwrap();
         let plan = load_balance_plan("preset:stealing").unwrap();
-        let event = simulate_with(&p, 6, Engine::Event, None, Some(&plan), 1).unwrap();
-        let polling = simulate_with(&p, 6, Engine::Polling, None, Some(&plan), 1).unwrap();
-        let par = simulate_with(&p, 6, Engine::EventPar, None, Some(&plan), 4).unwrap();
+        let event = simulate_with(&p, 6, Engine::Event, None, Some(&plan)).unwrap();
+        let polling = simulate_with(&p, 6, Engine::Polling, None, Some(&plan)).unwrap();
         assert_eq!(event.trace, polling.trace);
         assert_eq!(event.stats, polling.stats);
         assert_eq!(event.balance, polling.balance);
-        assert_eq!(par.trace, event.trace);
-        assert_eq!(par.balance, event.balance);
         assert!(event.balance.migrations > 0);
         assert!(event.stats.makespan < base.stats.makespan);
         assert!(describe_balance(&event.balance).contains("migrations"));
@@ -1221,7 +1176,7 @@ mod tests {
     #[test]
     fn stream_reduce_rejects_incompatible_flags() {
         let err = run(&args(&["cfd", "--stream-reduce", "--engine", "polling"])).unwrap_err();
-        assert!(err.contains("event or event-par"), "{err}");
+        assert!(err.contains("needs --engine event"), "{err}");
         let err = run(&args(&["cfd", "--stream-reduce", "--replications", "3"])).unwrap_err();
         assert!(err.contains("single run"), "{err}");
         let err = run(&args(&["cfd", "--stream-reduce", "--out", "t.limba"])).unwrap_err();
@@ -1238,25 +1193,21 @@ mod tests {
 
     #[test]
     fn stream_reduce_runs_end_to_end() {
-        // Both engines, with windows, without a tracefile in sight.
-        for engine in ["event", "event-par"] {
-            let outcome = run(&args(&[
-                "cfd",
-                "--ranks",
-                "4",
-                "--stream-reduce",
-                "--engine",
-                engine,
-                "--jobs",
-                "2",
-                "--windows",
-                "3",
-                "--stream-frame-events",
-                "7",
-            ]))
-            .unwrap();
-            assert!(matches!(outcome, crate::CmdOutcome::Complete));
-        }
+        // With windows, without a tracefile in sight.
+        let outcome = run(&args(&[
+            "cfd",
+            "--ranks",
+            "4",
+            "--stream-reduce",
+            "--engine",
+            "event",
+            "--windows",
+            "3",
+            "--stream-frame-events",
+            "7",
+        ]))
+        .unwrap();
+        assert!(matches!(outcome, crate::CmdOutcome::Complete));
     }
 
     #[test]
@@ -1269,7 +1220,7 @@ mod tests {
             "polling",
         ]))
         .unwrap_err();
-        assert!(err.contains("event or event-par"), "{err}");
+        assert!(err.contains("needs --engine event"), "{err}");
         let err = run(&args(&[
             "cfd",
             "--stream-out",
@@ -1302,11 +1253,7 @@ mod tests {
             sink.events(reference.trace.events()).unwrap();
             sink.finish().unwrap();
         }
-        for (label, extra) in [
-            ("event", vec![]),
-            ("event-par", vec!["--jobs", "2"]),
-            ("tee", vec!["--stream-reduce"]),
-        ] {
+        for (label, extra) in [("event", vec![]), ("tee", vec!["--stream-reduce"])] {
             let path = dir.join(format!("limba-cli-stream-out-{label}.trc"));
             let mut argv = vec![
                 "cfd",
@@ -1315,9 +1262,6 @@ mod tests {
                 "--stream-out",
                 path.to_str().unwrap(),
             ];
-            if label == "event-par" {
-                argv.extend(["--engine", "event-par"]);
-            }
             argv.extend(extra);
             run(&args(&argv)).unwrap();
             let got = std::fs::read(&path).unwrap();

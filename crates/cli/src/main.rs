@@ -65,22 +65,20 @@ OPTIONS (simulate):
   --seed N               RNG seed for stochastic injectors (default 0)
   --replications N       run N independent replications with SplitMix64-derived
                          seeds and print summary statistics (default 1)
-  --jobs N               worker threads for --replications and for
-                         --engine event-par; results are byte-identical
-                         for every N, 0 = all CPUs (default 1)
+  --jobs N               worker threads for --replications; results are
+                         byte-identical for every N, 0 = all CPUs (default 1)
   --faults SPEC          inject a deterministic fault plan (TOML file,
                          preset:<name>, or list to print the presets)
   --balance SPEC         rebalance load dynamically mid-run (TOML file,
                          preset:<name>, or list to print the policies)
   --out PATH             tracefile path (default trace.limba)
   --format FMT           binary | text (default binary)
-  --engine ENGINE        event | event-par | polling — execution core; all
-                         produce bit-identical traces (default event;
-                         event-par shards rank execution over --jobs threads)
+  --engine ENGINE        event | polling — execution core; both produce
+                         bit-identical traces (default event)
   --stream-reduce        fold the run into the analysis report as it
                          simulates: bounded memory, no tracefile; accepts
                          the analyze knobs (--dispersion/--criterion/
-                         --clusters/--windows) and needs an event engine
+                         --clusters/--windows) and needs --engine event
   --stream-out PATH      stream the chunked-v3 trace to PATH as rounds retire
                          instead of materializing it; `-` writes the container
                          to stdout (status moves to stderr) so it pipes into
@@ -114,7 +112,8 @@ OPTIONS (push):
   --run NAME             run id (default: tracefile stem or workload name)
   --workload W           stream a live simulation instead of a tracefile
                          (simulate's --ranks/--iterations/--imbalance/--seed/
-                         --jobs/--engine/--stream-frame-events apply)
+                         --engine/--stream-frame-events apply; needs
+                         --engine event)
   exits 0 when the run completed, 3 when the stream ended early or a disk
   fault degraded it and the server salvaged a partial run (reconnect to
   resume from the server's durable offset)
@@ -146,8 +145,7 @@ OPTIONS (advise):
   --jobs N               worker threads; output is byte-identical for every N
   --faults SPEC          verify under a fault plan (TOML file, preset:<name>,
                          or list to print the presets)
-  --engine ENGINE        event | event-par | polling — advice is identical
-                         under all three (event-par uses --jobs)
+  --engine ENGINE        event | polling — advice is identical under both
   --json                 machine-readable digest instead of the text report
 
 OPTIONS (timeline):

@@ -990,3 +990,92 @@ fn legacy_v2_with_a_nan_timestamp_is_rejected_on_both_paths() {
     }
     std::fs::remove_file(&trace).ok();
 }
+
+#[test]
+fn event_par_is_an_unknown_engine_on_every_command() {
+    // The removed engine is a usage error before any work starts;
+    // `push` does not even connect to a server.
+    let commands: [&[&str]; 3] = [
+        &["simulate", "cfd", "--ranks", "4"],
+        &["advise", "--workload", "cfd", "--ranks", "4"],
+        &["push", "--workload", "cfd", "--ranks", "4"],
+    ];
+    for command in commands {
+        let mut args = command.to_vec();
+        args.extend(["--engine", "event-par"]);
+        let out = limba(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("unknown engine"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("\"event\"") && stderr.contains("\"polling\""),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn oversized_stream_frames_match_the_default_framing() {
+    // A frame far larger than the run is never reserved up front: the
+    // run streams as one frame, decodes to the same trace and reduces to
+    // the same report as the default framing.
+    let run = |extra: &[&str]| {
+        let mut args = vec!["simulate", "cfd", "--ranks", "4", "--seed", "3"];
+        args.extend(extra);
+        let out = limba(&args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let decode = |path: &PathBuf| limba_trace::binary::from_bytes(&std::fs::read(path).unwrap());
+    let without_framing = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter(|line| !line.contains("frames of"))
+            .map(str::to_string)
+            .collect()
+    };
+    let reference_path = temp_path("frames-default.trc");
+    let reference_report = run(&["--stream-reduce"]);
+    let reference_status = run(&["--stream-out", reference_path.to_str().unwrap()]);
+    let reference_trace = decode(&reference_path).unwrap();
+    for frames in [
+        "4611686018427387904",
+        "100000000000",
+        "18446744073709551615",
+    ] {
+        let report = run(&["--stream-reduce", "--stream-frame-events", frames]);
+        assert!(
+            report.contains(&format!("in frames of {frames},")),
+            "{report}"
+        );
+        assert_eq!(
+            without_framing(&report),
+            without_framing(&reference_report),
+            "{frames}"
+        );
+
+        let path = temp_path(&format!("frames-{frames}.trc"));
+        let status = run(&[
+            "--stream-out",
+            path.to_str().unwrap(),
+            "--stream-frame-events",
+            frames,
+        ]);
+        assert!(
+            status.contains(&format!("frames of {frames} events")),
+            "{status}"
+        );
+        assert_eq!(
+            without_framing(&status),
+            without_framing(&reference_status),
+            "{frames}"
+        );
+        assert_eq!(decode(&path).unwrap(), reference_trace, "{frames}");
+        std::fs::remove_file(&path).ok();
+    }
+    std::fs::remove_file(&reference_path).ok();
+}

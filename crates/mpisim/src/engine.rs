@@ -72,10 +72,10 @@ pub(crate) fn format_deadlock_detail(
 /// byte-identical results.
 ///
 /// Op-count budgets are deterministic: both engines execute exactly the
-/// same program ops, so `max_ops` either interrupts on every engine and
-/// thread count or on none. Deadlines and cancellation are wall-clock
-/// signals and inherently racy; they decide only *whether* a run
-/// finishes, never what a finished run contains.
+/// same program ops, so `max_ops` either interrupts on every engine or
+/// on none. Deadlines and cancellation are wall-clock signals and
+/// inherently racy; they decide only *whether* a run finishes, never
+/// what a finished run contains.
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
     /// Abort after this many executed program ops.
@@ -470,23 +470,6 @@ impl Rounds {
         self.len_next = 0;
     }
 
-    /// The current round's members in ascending order, without removing
-    /// them. The parallel scheduler snapshots each round's runnable set
-    /// this way before fanning speculation out over worker threads.
-    fn current_members(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.len_current);
-        let words = &self.words[self.cur..self.cur + self.per_round];
-        for (w, &word) in words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                out.push(w * 64 + bit);
-                bits &= bits - 1;
-            }
-        }
-        out
-    }
-
     /// Removes and returns the current round's smallest member at or
     /// after `from`.
     fn pop_current_at_or_after(&mut self, from: usize) -> Option<usize> {
@@ -515,89 +498,12 @@ impl Rounds {
     }
 }
 
-/// A speculated run of purely-local ops, produced by a worker thread in
-/// the parallel scheduler and replayed by the merge loop.
-struct LocalPrefix {
-    rank: usize,
-    /// Snapshot the speculation started from. The merge loop applies
-    /// the prefix only when the live state still matches — a validation
-    /// that makes the fast path self-checking rather than trusted.
-    pc0: usize,
-    time0: f64,
-    /// Program counter and clock after the prefix.
-    pc: usize,
-    time: f64,
-    /// Trace events of the prefix, in program order.
-    events: Vec<Event>,
-}
-
-/// Speculatively executes the longest prefix of purely-local ops of
-/// `rank` starting from `(pc0, time0)`, against immutable state only.
-///
-/// *Local* means the op reads nothing another rank can influence and
-/// writes nothing another rank can observe: `Enter`/`Leave` always
-/// (they read the rank's own clock and emit its own events), `Compute`
-/// when no balance plan is attached (balancing may migrate work across
-/// ranks at compute boundaries, which is inherently cross-rank).
-/// Message ops, collectives, and nonblocking completions all touch
-/// shared channels or the collective slot, so speculation stops there
-/// and leaves them to the sequential merge loop.
-///
-/// Fault plans stay exact: `compute_end` is a pure function of the
-/// plan, and speculation stops *before* any op boundary where the crash
-/// check would fire, so recording the crash (a mutation) happens in the
-/// merge loop exactly where the sequential engine records it.
-///
-/// Returns `None` when the first op is already non-local.
-fn speculate_local(
-    program: &Program,
-    config: &MachineConfig,
-    faults: Option<&FaultState>,
-    balance_active: bool,
-    rank: usize,
-    pc0: usize,
-    time0: f64,
-) -> Option<LocalPrefix> {
-    let ops = program.ops(rank);
-    let mut pc = pc0;
-    let mut time = time0;
-    let mut events = Vec::new();
-    while pc < ops.len() {
-        if let Some(fs) = faults {
-            if fs.should_crash(rank, time) {
-                break;
-            }
-        }
-        match ops[pc] {
-            Op::Enter { region } => {
-                events.push(Event::enter(time, rank as u32, region));
-            }
-            Op::Leave { region } => {
-                events.push(Event::leave(time, rank as u32, region));
-            }
-            Op::Compute { seconds } if !balance_active => {
-                let duration = seconds / config.cpu_speed(rank);
-                time = match faults {
-                    None => time + duration,
-                    Some(fs) => fs.compute_end(rank, time, duration),
-                };
-            }
-            _ => break,
-        }
-        pc += 1;
-    }
-    if pc == pc0 {
-        return None;
-    }
-    Some(LocalPrefix {
-        rank,
-        pc0,
-        time0,
-        pc,
-        time,
-        events,
-    })
-}
+/// The most events a streaming run reserves for its frame buffer up
+/// front — the default frame size. A larger requested frame grows its
+/// buffer only as events actually arrive, so an oversized
+/// `frame_events` costs memory in proportion to the run, never to the
+/// request.
+const FRAME_RESERVE_CAP: usize = 4096;
 
 /// Where the executor's recorded events go: materialized into a
 /// [`TraceBuilder`] (the classic path, verbatim), or streamed to a
@@ -637,30 +543,6 @@ impl Recorder<'_> {
                     return;
                 }
                 buf.push(e);
-                if buf.len() >= *frame_events {
-                    if let Err(err) = sink.events(buf) {
-                        *failed = Some(err);
-                    }
-                    buf.clear();
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn extend_events(&mut self, events: &[Event]) {
-        match self {
-            Recorder::Materialize(b) => b.extend_events(events),
-            Recorder::Stream {
-                buf,
-                frame_events,
-                sink,
-                failed,
-            } => {
-                if failed.is_some() {
-                    return;
-                }
-                buf.extend_from_slice(events);
                 if buf.len() >= *frame_events {
                     if let Err(err) = sink.events(buf) {
                         *failed = Some(err);
@@ -761,12 +643,11 @@ struct Exec<'a> {
 /// comes from, never what they hold: every field is restored to its
 /// freshly-constructed state (empty, or default-filled to the new rank
 /// count) before a run starts, so a scratch-backed run is bit-identical
-/// to a cold one — the engine-triple differential harness exercises
-/// exactly this, since it runs all three engines back to back on one
-/// thread. What this buys is the setup half of short runs: per-rank
-/// state, round words, routing tables, and handle lists arrive
-/// pre-sized, so a truncated 16-rank fault run pays no allocator round
-/// trips at all. Retained footprint is O(ranks + live channels +
+/// to a cold one — the engine differential harness exercises exactly
+/// this, since it runs both engines back to back on one thread. What
+/// this buys is the setup half of short runs: per-rank state, round
+/// words, routing tables, and handle lists arrive pre-sized, so a
+/// truncated 16-rank fault run pays no allocator round trips at all. Retained footprint is O(ranks + live channels +
 /// outstanding ops) of the largest run seen on the thread.
 struct Scratch {
     hot: Vec<RankHot>,
@@ -855,7 +736,7 @@ impl<'a> Exec<'a> {
                 sink.begin(n, program.region_names())?;
                 let frame_events = frame_events.max(1);
                 Recorder::Stream {
-                    buf: Vec::with_capacity(frame_events),
+                    buf: Vec::with_capacity(frame_events.min(FRAME_RESERVE_CAP)),
                     frame_events,
                     sink,
                     failed: None,
@@ -1051,10 +932,9 @@ impl<'a> Exec<'a> {
     /// Executes `rank`'s maximal prefix of purely-local ops — compute,
     /// region enter/leave — with the program counter and local clock in
     /// locals, writing the pair back once at the end. These ops touch
-    /// no shared state (the same classification [`speculate_local`]
-    /// uses for the parallel engine), so batching them cannot reorder
-    /// anything another rank observes; the arithmetic per op is
-    /// identical to [`Exec::try_op`]'s, keeping the output bit-exact.
+    /// no shared state, so batching them cannot reorder anything
+    /// another rank observes; the arithmetic per op is identical to
+    /// [`Exec::try_op`]'s, keeping the output bit-exact.
     /// Declines to run under balancing (which owns the compute
     /// boundary) or a budget (which counts interruptions per op), and
     /// stops short of a planned crash so `try_op` records it.
@@ -1635,127 +1515,6 @@ impl<'a> Exec<'a> {
         Ok(())
     }
 
-    /// The rank-sharded parallel scheduler: the same round structure as
-    /// [`Exec::run_event`], with a speculation pass fanned out over
-    /// `jobs` worker threads at each round turnover.
-    ///
-    /// Each round, worker threads compute every runnable rank's *local
-    /// prefix* — its longest run of ops that touch no shared state (see
-    /// [`speculate_local`]) — from a snapshot of its `(pc, time)`. The
-    /// merge loop then drains the round in the exact sequential order;
-    /// when it pops a rank whose live state still matches the snapshot
-    /// it splices the precomputed events in with one `memcpy`-shaped
-    /// append and jumps the rank to the prefix end, then continues with
-    /// the ordinary one-op-at-a-time loop for the non-local tail. No
-    /// barrier separates merge from speculation results — prefixes are
-    /// consumed by a single ascending pointer as pops arrive.
-    ///
-    /// Determinism argument: ranks sitting in `current` cannot have
-    /// their `(pc, time)` mutated by earlier streaks of the same round
-    /// (rendezvous and collective completions only advance *blocked*
-    /// ranks), local ops emit only the rank's own events at times that
-    /// are pure functions of the snapshot, and the splice point is
-    /// validated against the live state before use. The output is
-    /// therefore byte-identical to the sequential engine — which the
-    /// engine-triple differential harness locks empirically.
-    ///
-    /// Budgeted runs fall back to the sequential scheduler: op-count
-    /// budgets are defined in executed-op order, and the speculation
-    /// pass would batch those increments.
-    fn run_event_parallel(&mut self, jobs: usize) -> Result<(), SimError> {
-        let jobs = limba_par::effective_jobs(jobs);
-        if jobs <= 1 || self.budget.is_some() {
-            return self.run_event();
-        }
-        let mut remaining = self.seed_runnable();
-        while remaining > 0 {
-            if let Some(err) = self.builder.take_failure() {
-                return Err(SimError::Trace(err));
-            }
-            if self.rounds.current_is_empty() {
-                if self.rounds.next_is_empty() {
-                    if self.faults.as_ref().is_some_and(|f| f.any_crashed()) {
-                        return Ok(());
-                    }
-                    return Err(SimError::Deadlock {
-                        detail: self.deadlock_detail(),
-                    });
-                }
-                self.rounds.turnover();
-            }
-            // Speculation pass over a snapshot of the round's runnable
-            // set. Ranks woken mid-round are not in the snapshot; the
-            // merge loop simply runs them without a prefix.
-            let runnable = self.rounds.current_members();
-            let mut prefixes: Vec<LocalPrefix> = Vec::new();
-            if runnable.len() > 1 {
-                let snapshots: Vec<(usize, usize, f64)> = runnable
-                    .iter()
-                    .map(|&r| (r, self.arena.hot[r].pc, self.arena.hot[r].time))
-                    .collect();
-                let program = self.program;
-                let config = self.config;
-                let faults = self.faults.as_ref();
-                let balance_active = self.balance.is_some();
-                let shards = limba_par::shard_ranges(snapshots.len(), jobs);
-                let sharded = limba_par::par_map(jobs, &shards, |_i, range| {
-                    snapshots[range.clone()]
-                        .iter()
-                        .filter_map(|&(r, pc, t)| {
-                            speculate_local(program, config, faults, balance_active, r, pc, t)
-                        })
-                        .collect::<Vec<_>>()
-                });
-                prefixes = sharded.into_iter().flatten().collect();
-            }
-            // Merge loop: identical to the sequential round drain, plus
-            // prefix splicing. `prefixes` is in ascending rank order and
-            // pops ascend, so one forward pointer pairs them up.
-            let mut pfx = 0usize;
-            let mut cursor = 0usize;
-            while let Some(rank) = self.rounds.pop_current_at_or_after(cursor) {
-                cursor = rank;
-                if self.arena.hot[rank].blocked == BlockedOn::CRASHED {
-                    continue;
-                }
-                while pfx < prefixes.len() && prefixes[pfx].rank < rank {
-                    pfx += 1;
-                }
-                if pfx < prefixes.len() && prefixes[pfx].rank == rank {
-                    let p = &prefixes[pfx];
-                    pfx += 1;
-                    if p.pc0 == self.arena.hot[rank].pc && p.time0 == self.arena.hot[rank].time {
-                        self.builder.extend_events(&p.events);
-                        self.arena.hot[rank].pc = p.pc;
-                        self.arena.hot[rank].time = p.time;
-                    }
-                }
-                loop {
-                    // Same fast local drain as the sequential engine:
-                    // it covers the tail past a spliced prefix (or a
-                    // rank speculation skipped) without per-op calls.
-                    self.advance_local(rank);
-                    match self.try_op(rank)? {
-                        StepOutcome::Ran => {}
-                        StepOutcome::Blocked(on) => {
-                            self.arena.hot[rank].blocked = on;
-                            break;
-                        }
-                        StepOutcome::Done => {
-                            remaining -= 1;
-                            break;
-                        }
-                        StepOutcome::Crashed => {
-                            remaining -= 1;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Everything [`Exec::finish`] and [`Exec::finish_stream`] share:
     /// final statistics, the fault and balance reports, and the scratch
     /// handback.
@@ -1901,10 +1660,20 @@ impl Simulator {
     /// and interruption budget — the fully general entry point the CLI
     /// drives. `None` everywhere is bit-identical to [`Simulator::run`].
     ///
+    /// The budget is polled inside the scheduling loop: when an
+    /// op-count or wall-clock limit fires, or the cancellation token
+    /// trips, the run aborts with [`SimError::Interrupted`] and produces
+    /// nothing. A run that completes under a budget is bit-identical to
+    /// the same run without one — the budget decides *whether* the run
+    /// finishes, never what a finished run contains. An unlimited
+    /// budget takes the exact unbudgeted code path (no per-op
+    /// bookkeeping).
+    ///
     /// # Errors
     ///
-    /// The union of the conditions of [`Simulator::run_with_faults`],
-    /// [`Simulator::run_with_balance`], and [`Simulator::run_budgeted`].
+    /// The union of the conditions of [`Simulator::run_with_faults`]
+    /// and [`Simulator::run_with_balance`], plus
+    /// [`SimError::Interrupted`] when the budget fires.
     pub fn run_configured(
         &self,
         program: &Program,
@@ -1919,86 +1688,6 @@ impl Simulator {
             }
         }
         exec.run_event()?;
-        Ok(exec.finish())
-    }
-
-    /// Runs `program` under an interruption budget (and optionally a
-    /// fault plan) with the event-driven scheduler. The budget is
-    /// polled inside the scheduling loop: when an op-count or
-    /// wall-clock limit fires, or the cancellation token trips, the run
-    /// aborts with [`SimError::Interrupted`] and produces nothing.
-    ///
-    /// A run that completes under a budget is bit-identical to the same
-    /// run without one — the budget decides *whether* the run finishes,
-    /// never what a finished run contains. An unlimited budget takes
-    /// the exact unbudgeted code path (no per-op bookkeeping).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_with_faults`], plus
-    /// [`SimError::Interrupted`] when the budget fires.
-    pub fn run_budgeted(
-        &self,
-        program: &Program,
-        plan: Option<&FaultPlan>,
-        budget: &RunBudget,
-    ) -> Result<SimOutput, SimError> {
-        let mut exec = Exec::new(&self.config, program, plan, None, None)?;
-        if !budget.is_unlimited() {
-            exec.budget = Some(budget);
-        }
-        exec.run_event()?;
-        Ok(exec.finish())
-    }
-
-    /// Runs `program` with the deterministic parallel event engine:
-    /// the sequential event scheduler's round structure with per-round
-    /// speculation of purely-local op runs fanned out over `jobs`
-    /// worker threads (0 = all CPUs; see `limba-par`).
-    ///
-    /// The output is **byte-identical** to [`Simulator::run`] for every
-    /// program, machine, and thread count — parallelism here is a
-    /// latency optimization, never a semantics knob. The engine-triple
-    /// differential harness (polling × event × event-par) locks this.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run`].
-    pub fn run_event_parallel(
-        &self,
-        program: &Program,
-        jobs: usize,
-    ) -> Result<SimOutput, SimError> {
-        let mut exec = Exec::new(&self.config, program, None, None, None)?;
-        exec.run_event_parallel(jobs)?;
-        Ok(exec.finish())
-    }
-
-    /// The parallel-engine counterpart of [`Simulator::run_configured`]:
-    /// any combination of fault plan, balance plan, and budget, executed
-    /// with [`Simulator::run_event_parallel`]'s scheduler. Byte-identical
-    /// to the sequential engine under every combination. Budgeted runs
-    /// fall back to the sequential scheduler (op budgets are defined in
-    /// executed-op order), preserving exact budget semantics.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_configured`].
-    pub fn run_parallel_configured(
-        &self,
-        program: &Program,
-        faults: Option<&FaultPlan>,
-        balance: Option<&BalancePlan>,
-        budget: Option<&RunBudget>,
-        jobs: usize,
-    ) -> Result<SimOutput, SimError> {
-        let mut exec = Exec::new(&self.config, program, faults, balance, None)?;
-        if let Some(budget) = budget {
-            if !budget.is_unlimited() {
-                exec.budget = Some(budget);
-            }
-        }
-        exec.run_event_parallel(jobs)?;
         Ok(exec.finish())
     }
 
@@ -2042,43 +1731,6 @@ impl Simulator {
             }
         }
         exec.run_event()?;
-        exec.finish_stream()
-    }
-
-    /// The streaming counterpart of
-    /// [`Simulator::run_parallel_configured`]: the parallel event
-    /// engine recording into `sink`. Byte-identical event stream to
-    /// [`Simulator::run_streaming_configured`] for every thread count
-    /// (budgeted runs fall back to the sequential scheduler, exactly as
-    /// the materialized path does).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_streaming_configured`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_streaming_parallel_configured(
-        &self,
-        program: &Program,
-        faults: Option<&FaultPlan>,
-        balance: Option<&BalancePlan>,
-        budget: Option<&RunBudget>,
-        jobs: usize,
-        sink: &mut dyn TraceSink,
-        frame_events: usize,
-    ) -> Result<StreamOutput, SimError> {
-        let mut exec = Exec::new(
-            &self.config,
-            program,
-            faults,
-            balance,
-            Some((sink, frame_events)),
-        )?;
-        if let Some(budget) = budget {
-            if !budget.is_unlimited() {
-                exec.budget = Some(budget);
-            }
-        }
-        exec.run_event_parallel(jobs)?;
         exec.finish_stream()
     }
 
@@ -2144,29 +1796,6 @@ impl Simulator {
         let budget = budget.filter(|b| !b.is_unlimited());
         crate::polling::run(&self.config, program, faults, balance, budget)
     }
-
-    /// The polling-engine counterpart of [`Simulator::run_budgeted`]:
-    /// same budget semantics, same guarantee that a completed budgeted
-    /// run is bit-identical to an unbudgeted one. Op-count budgets fire
-    /// on exactly the same programs on both engines (both execute the
-    /// same ops), which the equivalence suite locks.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_budgeted`].
-    pub fn run_polling_budgeted(
-        &self,
-        program: &Program,
-        plan: Option<&FaultPlan>,
-        budget: &RunBudget,
-    ) -> Result<SimOutput, SimError> {
-        let budget = if budget.is_unlimited() {
-            None
-        } else {
-            Some(budget)
-        };
-        crate::polling::run(&self.config, program, plan, None, budget)
-    }
 }
 
 #[cfg(test)]
@@ -2207,10 +1836,14 @@ mod tests {
             max_ops: Some(1_000_000),
             ..RunBudget::default()
         };
-        let budgeted = sim.run_budgeted(&program, None, &budget).unwrap();
+        let budgeted = sim
+            .run_configured(&program, None, None, Some(&budget))
+            .unwrap();
         assert_eq!(plain.trace, budgeted.trace);
         assert_eq!(plain.stats, budgeted.stats);
-        let polled = sim.run_polling_budgeted(&program, None, &budget).unwrap();
+        let polled = sim
+            .run_polling_configured(&program, None, None, Some(&budget))
+            .unwrap();
         assert_eq!(plain.trace, polled.trace);
         assert_eq!(plain.stats, polled.stats);
     }
@@ -2241,8 +1874,9 @@ mod tests {
             }
             panic!("no budget up to {ceiling} completed");
         };
-        let event_threshold = threshold(&|b| sim.run_budgeted(&program, None, b));
-        let polling_threshold = threshold(&|b| sim.run_polling_budgeted(&program, None, b));
+        let event_threshold = threshold(&|b| sim.run_configured(&program, None, None, Some(b)));
+        let polling_threshold =
+            threshold(&|b| sim.run_polling_configured(&program, None, None, Some(b)));
         assert_eq!(event_threshold, polling_threshold);
         assert!(event_threshold > 0);
         // At the threshold both engines still agree bit-for-bit.
@@ -2250,8 +1884,12 @@ mod tests {
             max_ops: Some(event_threshold),
             ..RunBudget::default()
         };
-        let event = sim.run_budgeted(&program, None, &budget).unwrap();
-        let polling = sim.run_polling_budgeted(&program, None, &budget).unwrap();
+        let event = sim
+            .run_configured(&program, None, None, Some(&budget))
+            .unwrap();
+        let polling = sim
+            .run_polling_configured(&program, None, None, Some(&budget))
+            .unwrap();
         assert_eq!(event.trace, polling.trace);
         assert_eq!(event.stats, polling.stats);
     }
@@ -2267,7 +1905,7 @@ mod tests {
             ..RunBudget::default()
         };
         assert!(matches!(
-            sim.run_budgeted(&program, None, &budget),
+            sim.run_configured(&program, None, None, Some(&budget)),
             Err(SimError::Interrupted { .. })
         ));
         let budget = RunBudget {
@@ -2275,7 +1913,7 @@ mod tests {
             ..RunBudget::default()
         };
         assert!(matches!(
-            sim.run_polling_budgeted(&program, None, &budget),
+            sim.run_polling_configured(&program, None, None, Some(&budget)),
             Err(SimError::Interrupted { .. })
         ));
         // An untripped token and a far-away deadline change nothing.
@@ -2285,7 +1923,9 @@ mod tests {
             ..RunBudget::default()
         };
         let plain = sim.run(&program).unwrap();
-        let budgeted = sim.run_budgeted(&program, None, &budget).unwrap();
+        let budgeted = sim
+            .run_configured(&program, None, None, Some(&budget))
+            .unwrap();
         assert_eq!(plain.trace, budgeted.trace);
     }
 
@@ -2299,11 +1939,13 @@ mod tests {
             max_ops: Some(1_000_000),
             ..RunBudget::default()
         };
-        let budgeted = sim.run_budgeted(&program, Some(&plan), &budget).unwrap();
+        let budgeted = sim
+            .run_configured(&program, Some(&plan), None, Some(&budget))
+            .unwrap();
         assert_eq!(plain.trace, budgeted.trace);
         assert_eq!(plain.faults, budgeted.faults);
         let polled = sim
-            .run_polling_budgeted(&program, Some(&plan), &budget)
+            .run_polling_configured(&program, Some(&plan), None, Some(&budget))
             .unwrap();
         assert_eq!(plain.trace, polled.trace);
     }

@@ -44,30 +44,6 @@ pub fn effective_jobs(requested: usize) -> usize {
     }
 }
 
-/// Splits `0..len` into at most `shards` contiguous, near-equal ranges
-/// (sizes differ by at most one, larger shards first). The partition is
-/// a pure function of `(len, shards)` — independent of thread count and
-/// call order — so deterministic engines can fan sharded work out and
-/// merge it back in a fixed order.
-///
-/// `shards == 0` is treated as 1; `len == 0` yields no ranges.
-pub fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let shards = shards.clamp(1, len);
-    let base = len / shards;
-    let extra = len % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0;
-    for i in 0..shards {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
 /// One step of the SplitMix64 generator (Steele, Lea, Flood 2014).
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -371,30 +347,5 @@ mod tests {
     fn effective_jobs_resolves_zero_to_cpus() {
         assert!(effective_jobs(0) >= 1);
         assert_eq!(effective_jobs(3), 3);
-    }
-
-    #[test]
-    fn shard_ranges_partitions_exactly() {
-        for len in [0usize, 1, 2, 7, 64, 65, 1000] {
-            for shards in [0usize, 1, 2, 3, 8, 64, 2000] {
-                let ranges = shard_ranges(len, shards);
-                // Contiguous cover of 0..len, in order, no empty shard.
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "len={len} shards={shards}");
-                    assert!(r.end > r.start, "len={len} shards={shards}");
-                    next = r.end;
-                }
-                assert_eq!(next, len, "len={len} shards={shards}");
-                if len > 0 {
-                    assert_eq!(ranges.len(), shards.clamp(1, len));
-                    // Near-equal: sizes differ by at most one.
-                    let sizes: Vec<usize> = ranges.iter().map(|r| r.end - r.start).collect();
-                    let min = sizes.iter().min().unwrap();
-                    let max = sizes.iter().max().unwrap();
-                    assert!(max - min <= 1, "len={len} shards={shards}");
-                }
-            }
-        }
     }
 }

@@ -232,8 +232,9 @@ pub struct StreamConfig {
     /// Bounded channel depth, in frames. In-flight trace bytes are
     /// bounded by roughly `(depth + 2) × frame_events × event size`.
     pub depth: usize,
-    /// Worker threads for the simulation engine (1 = sequential event
-    /// engine, 0 = all CPUs; same meaning as everywhere else).
+    /// Ignored: streaming runs always use the sequential event engine.
+    /// Kept only so existing struct literals that set it still compile;
+    /// slated for removal.
     pub jobs: usize,
     /// Fold into this many equal time windows as well (the streaming
     /// [`reduce_windows`](limba_trace::reduce_windows)).
@@ -365,15 +366,7 @@ pub fn stream_reduce_tee(
         WindowSink::check_count(windows)?;
     }
     let run = |sink: &mut dyn TraceSink| {
-        sim.run_streaming_parallel_configured(
-            program,
-            faults,
-            balance,
-            budget,
-            cfg.jobs,
-            sink,
-            cfg.frame_events,
-        )
+        sim.run_streaming_configured(program, faults, balance, budget, sink, cfg.frame_events)
     };
 
     let produce = |frames: &mut FrameSink| match tee {
@@ -500,8 +493,7 @@ mod tests {
         let err = pipeline(
             0,
             |frames| {
-                let run =
-                    sim.run_streaming_parallel_configured(&program, None, None, None, 1, frames, 1);
+                let run = sim.run_streaming_configured(&program, None, None, None, frames, 1);
                 out = run.as_ref().ok().cloned();
                 run
             },
@@ -575,7 +567,7 @@ mod tests {
         let single = stream_reduce(&sim, &program, None, None, None, &StreamConfig::default())
             .expect("single pass");
         let mut scan = ScanSink::new();
-        sim.run_streaming_parallel_configured(&program, None, None, None, 1, &mut scan, 4096)
+        sim.run_streaming_configured(&program, None, None, None, &mut scan, 4096)
             .expect("scan pass");
         let scan = scan.into_scan().expect("scanned");
         assert_eq!(single.scan.events, scan.events);

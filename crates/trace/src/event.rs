@@ -231,8 +231,8 @@ impl TraceBuilder {
     }
 
     /// Appends a batch of events in order — equivalent to pushing each
-    /// one, as a single bulk copy. The simulator's parallel engine uses
-    /// this to splice precomputed event runs into the trace.
+    /// one, as a single bulk copy. The materializing stream fold uses
+    /// this to append each decoded frame.
     pub fn extend_events(&mut self, events: &[Event]) {
         self.events.extend_from_slice(events);
     }

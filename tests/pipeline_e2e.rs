@@ -89,48 +89,6 @@ fn every_workload_traces_validate_and_analyze() {
 }
 
 #[test]
-fn event_par_engine_runs_the_whole_pipeline_end_to_end() {
-    // The parallel event engine through the same full pipeline the
-    // sequential engines get: simulate → validate → reduce → analyze,
-    // at multiple worker counts, bit-identical to the sequential run.
-    for (name, program, ranks) in all_programs(Imbalance::RandomJitter { amplitude: 0.2 }) {
-        let sim = Simulator::new(MachineConfig::new(ranks));
-        let seq = sim.run(&program).unwrap();
-        for jobs in [2usize, 4] {
-            let par = sim
-                .run_event_parallel(&program, jobs)
-                .unwrap_or_else(|e| panic!("{name}: event-par({jobs}) failed: {e}"));
-            par.trace
-                .validate()
-                .unwrap_or_else(|e| panic!("{name}: event-par({jobs}) invalid trace: {e}"));
-            assert_eq!(
-                par.trace, seq.trace,
-                "{name}: event-par({jobs}) trace diverges"
-            );
-            assert_eq!(
-                par.stats, seq.stats,
-                "{name}: event-par({jobs}) stats diverge"
-            );
-            let reduced = par
-                .reduce()
-                .unwrap_or_else(|e| panic!("{name}: event-par({jobs}) reduce failed: {e}"));
-            let report = Analyzer::new()
-                .with_cluster_k(0)
-                .analyze(&reduced.measurements)
-                .unwrap_or_else(|e| panic!("{name}: event-par({jobs}) analysis failed: {e}"));
-            assert!(
-                report.coarse.total_seconds > 0.0,
-                "{name}: event-par({jobs}) empty profile"
-            );
-            assert!(
-                !report.findings.tuning_candidates.is_empty(),
-                "{name}: event-par({jobs}) no tuning candidate"
-            );
-        }
-    }
-}
-
-#[test]
 fn per_processor_time_is_bounded_by_makespan() {
     for (name, program, ranks) in all_programs(Imbalance::LinearSkew { spread: 0.5 }) {
         let out = simulate(&program, ranks);

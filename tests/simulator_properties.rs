@@ -290,27 +290,16 @@ proptest! {
         ) {
             (Ok(event), Ok(polling)) => {
                 // Bit-identical traces (compared as serialized bytes),
-                // statistics, and fault diagnostics — across the whole
-                // engine triple, including the parallel scheduler.
+                // statistics, and fault diagnostics.
                 prop_assert_eq!(
                     limba::trace::binary::to_bytes(&event.trace),
                     limba::trace::binary::to_bytes(&polling.trace)
                 );
                 prop_assert_eq!(&event.stats, &polling.stats);
                 prop_assert_eq!(&event.faults, &polling.faults);
-                let par = sim
-                    .run_parallel_configured(&program, Some(&plan), None, None, 4)
-                    .expect("event-par agrees with event on outcome");
-                prop_assert_eq!(&event.trace, &par.trace);
-                prop_assert_eq!(&event.stats, &par.stats);
-                prop_assert_eq!(&event.faults, &par.faults);
             }
             (Err(event), Err(polling)) => {
                 prop_assert_eq!(event.to_string(), polling.to_string());
-                let par = sim
-                    .run_parallel_configured(&program, Some(&plan), None, None, 4)
-                    .unwrap_err();
-                prop_assert_eq!(event.to_string(), par.to_string());
             }
             (event, polling) => {
                 return Err(proptest::test_runner::TestCaseError::Fail(format!(
@@ -394,13 +383,6 @@ proptest! {
                 prop_assert_eq!(&event.stats, &polling.stats);
                 prop_assert_eq!(&event.faults, &polling.faults);
                 prop_assert_eq!(&event.balance, &polling.balance);
-                let par = sim
-                    .run_parallel_configured(&program, Some(&faults), Some(&balance), None, 4)
-                    .expect("event-par agrees with event on outcome");
-                prop_assert_eq!(&event.trace, &par.trace);
-                prop_assert_eq!(&event.stats, &par.stats);
-                prop_assert_eq!(&event.faults, &par.faults);
-                prop_assert_eq!(&event.balance, &par.balance);
             }
             (Err(event), Err(polling)) => {
                 prop_assert_eq!(event.to_string(), polling.to_string());

@@ -1,8 +1,8 @@
 //! The streaming-dataflow differential harness: the zero-copy pipeline
 //! (simulate → byte frames → streaming folds) must be byte-identical to
 //! the materializing reference path (simulate → trace → batch reduce)
-//! across randomized programs, fault plans, balance plans, frame sizes,
-//! and worker counts — reductions, windowed reductions, salvage
+//! across randomized programs, fault plans, balance plans, and frame
+//! sizes — reductions, windowed reductions, salvage
 //! coverage, and rendered analysis reports alike. Crash-truncated runs
 //! and budget/cancellation interruptions must fail (or salvage)
 //! identically on both paths, never hang, and never panic.
@@ -190,7 +190,6 @@ fn check_case(
     faults: Option<&FaultPlan>,
     balance: Option<&BalancePlan>,
     frame_events: usize,
-    jobs: usize,
     windows: usize,
 ) {
     let sim = Simulator::new(MachineConfig::new(ranks));
@@ -203,7 +202,6 @@ fn check_case(
     };
     let cfg = StreamConfig {
         frame_events,
-        jobs,
         windows: (windows > 0).then_some(windows),
         ..StreamConfig::default()
     };
@@ -296,10 +294,9 @@ proptest! {
     fn clean_runs_stream_identically(
         (program, ranks) in program_strategy(),
         frame_events in prop_oneof![Just(1usize), Just(3), Just(64), Just(4096)],
-        jobs in prop_oneof![Just(1usize), Just(4)],
         windows in 0usize..5,
     ) {
-        check_case(&program, ranks, None, None, frame_events, jobs, windows);
+        check_case(&program, ranks, None, None, frame_events, windows);
     }
 
     #[test]
@@ -308,17 +305,16 @@ proptest! {
         frame_events in prop_oneof![Just(1usize), Just(7), Just(4096)],
     ) {
         faults.validate(ranks).expect("generated plans are valid");
-        check_case(&program, ranks, Some(&faults), None, frame_events, 1, 3);
+        check_case(&program, ranks, Some(&faults), None, frame_events, 3);
     }
 
     #[test]
     fn chaos_balanced_runs_stream_identically(
         (program, ranks, faults, balance) in chaos_balanced_strategy(),
         frame_events in prop_oneof![Just(2usize), Just(64)],
-        jobs in prop_oneof![Just(1usize), Just(3)],
     ) {
         faults.validate(ranks).expect("generated plans are valid");
-        check_case(&program, ranks, Some(&faults), Some(&balance), frame_events, jobs, 2);
+        check_case(&program, ranks, Some(&faults), Some(&balance), frame_events, 2);
     }
 }
 
